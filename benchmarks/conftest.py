@@ -30,7 +30,7 @@ from typing import Dict, List
 
 import pytest
 
-from repro.analysis import ScamPipelineConfig, ScamPostAnalysis
+from repro.analysis import ScamPostAnalysis
 from repro.core import Study, StudyConfig
 
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.1"))
@@ -100,7 +100,7 @@ def bench_dataset(bench_study):
 @pytest.fixture(scope="session")
 def bench_scam_report(bench_dataset):
     """The Section-6 pipeline output, shared by Tables 5 and 6."""
-    analysis = ScamPostAnalysis(ScamPipelineConfig(dbscan_eps=0.9))
+    analysis = ScamPostAnalysis()
     return analysis.run(bench_dataset)
 
 

@@ -7,7 +7,7 @@ clustering -> keywords -> vetting).
 """
 
 from benchmarks.conftest import BENCH_SCALE, record_report
-from repro.analysis import ScamPipelineConfig, ScamPostAnalysis
+from repro.analysis import ScamPostAnalysis
 from repro.core.reports import render_table5
 from repro.synthetic import calibration as cal
 
@@ -15,7 +15,7 @@ from repro.synthetic import calibration as cal
 def test_table5_scam_accounts(benchmark, bench_dataset, bench_scam_report):
     # Time one full pipeline run; assertions use the shared report.
     benchmark.pedantic(
-        lambda: ScamPostAnalysis(ScamPipelineConfig(dbscan_eps=0.9)).run(bench_dataset),
+        lambda: ScamPostAnalysis().run(bench_dataset),
         rounds=1, iterations=1,
     )
     report = bench_scam_report

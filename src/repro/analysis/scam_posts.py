@@ -3,8 +3,10 @@
 The pipeline mirrors the paper's technical setup stage for stage:
 
 1. language filter (CLD2 -> :class:`~repro.nlp.langdetect.LanguageDetector`);
-2. embeddings (all-mpnet-base-v2 -> hashed TF-IDF);
-3. reduction (UMAP -> random projection, only for large corpora);
+2. embeddings (all-mpnet-base-v2 -> hashed TF-IDF over token unigrams and
+   bigrams);
+3. reduction (UMAP -> none: the hashed embeddings are already dense and
+   low-dimensional, so they are clustered directly);
 4. clustering (HDBSCAN -> DBSCAN or the scalable density clusterer);
 5. keywords (KeyBERT -> class-based TF-IDF);
 6. vetting (manual 25-post review -> :class:`ClusterVetter` with the
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -41,7 +43,8 @@ class ScamPipelineConfig:
     #: Corpora above this size use the scalable density clusterer (with a
     #: refinement pass) instead of exact DBSCAN.
     large_corpus_threshold: int = 12_000
-    dbscan_eps: float = 0.45
+    #: DBSCAN radius for corpora at or below the threshold.
+    dbscan_eps: float = 0.9
     dbscan_min_samples: int = 5
     merge_eps: float = 0.4
     min_cluster_size: int = 6
@@ -103,6 +106,23 @@ class ScamReport:
         return set(self.scam_accounts)
 
 
+def _token_matches(token: str, indicator: str) -> bool:
+    """Whether ``token`` counts as ``indicator``, with light stemming.
+
+    Equal strings always match.  An indicator of four or more characters
+    also matches when either string is a prefix of the other, the token
+    needing four characters itself to count as a prefix (so 'investment'
+    matches 'invest' and 'nfts' matches 'nft', but 'nftsomething' does not
+    match the three-letter 'nft').
+    """
+    if token == indicator:
+        return True
+    return len(indicator) >= 4 and (
+        token.startswith(indicator)
+        or (len(token) >= 4 and indicator.startswith(token))
+    )
+
+
 class ClusterVetter:
     """The programmatic stand-in for manual cluster review.
 
@@ -115,6 +135,14 @@ class ClusterVetter:
     def __init__(self, config: ScamPipelineConfig) -> None:
         self._config = config
         self._rng = RngTree(config.seed, name="vetter")
+        self._indicators = tuple(dict.fromkeys(
+            indicator
+            for indicators in VETTING_CODEBOOK.values()
+            for indicator in indicators
+        ))
+        # token -> the codebook indicators it matches; posts in one corpus
+        # share most of their vocabulary, so each token is tested once.
+        self._token_memo: Dict[str, FrozenSet[str]] = {}
 
     def vet(
         self,
@@ -148,29 +176,37 @@ class ClusterVetter:
 
     @staticmethod
     def _indicator_hits(tokens: Set[str], indicators: Sequence[str]) -> int:
-        """Count indicator keywords present, with light stemming: a token
-        matches an indicator when either is a prefix of the other (so
-        'investment' matches 'invest', 'nfts' matches 'nft')."""
-        hits = 0
-        for indicator in indicators:
-            if indicator in tokens:
-                hits += 1
-                continue
-            if len(indicator) >= 4 and any(
-                token.startswith(indicator) or
-                (len(token) >= 4 and indicator.startswith(token))
-                for token in tokens
-            ):
-                hits += 1
-        return hits
+        """Count the indicators that some token matches (see
+        :func:`_token_matches`)."""
+        return sum(
+            1 for indicator in indicators
+            if any(_token_matches(token, indicator) for token in tokens)
+        )
+
+    def _matched_indicators(self, tokens: Set[str]) -> Set[str]:
+        """Every codebook indicator that some token in ``tokens`` matches."""
+        memo = self._token_memo
+        matched: Set[str] = set()
+        for token in tokens:
+            hits = memo.get(token)
+            if hits is None:
+                hits = memo[token] = frozenset(
+                    indicator for indicator in self._indicators
+                    if _token_matches(token, indicator)
+                )
+            matched |= hits
+        return matched
 
     def _score_sample(self, sample: List[str]) -> Tuple[Optional[str], float]:
         scores: Dict[str, float] = {}
-        token_sets = [set(tokenize(text, keep_handles=False)) for text in sample]
+        matched_sets = [
+            self._matched_indicators(set(tokenize(text, keep_handles=False)))
+            for text in sample
+        ]
         for subtype, indicators in VETTING_CODEBOOK.items():
             matches = sum(
-                1 for tokens in token_sets
-                if self._indicator_hits(tokens, indicators) >= 2
+                1 for matched in matched_sets
+                if sum(1 for indicator in indicators if indicator in matched) >= 2
             )
             scores[subtype] = matches / max(1, len(sample))
         best_subtype = max(scores, key=lambda s: (scores[s], s))

@@ -77,7 +77,6 @@ def run_analysis_suite(
     functions of the (seeded) dataset, so a resumed run replays the
     identical sequence of supervisor decisions.
     """
-    scam_config = scam_config or ScamPipelineConfig(dbscan_eps=0.9)
     results = AnalysisResults()
     profiler = getattr(telemetry, "profiler", NULL_PROFILER)
 

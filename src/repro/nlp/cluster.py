@@ -21,12 +21,25 @@ import numpy as np
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 
 
-def _pairwise_sq_dists(block: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between block rows and all points."""
+def _sq_norms(points: np.ndarray) -> np.ndarray:
+    """Squared L2 norm of each row."""
+    return (points * points).sum(axis=1)
+
+
+def _pairwise_sq_dists(block: np.ndarray, points: np.ndarray,
+                       block_norms: Optional[np.ndarray] = None,
+                       point_norms: Optional[np.ndarray] = None) -> np.ndarray:
+    """Squared Euclidean distances between block rows and all points.
+
+    Callers that reuse one side across many calls pass its
+    :func:`_sq_norms` in rather than have it recomputed each time.
+    """
     cross = block @ points.T
-    block_norms = (block * block).sum(axis=1)[:, None]
-    point_norms = (points * points).sum(axis=1)[None, :]
-    d2 = block_norms + point_norms - 2.0 * cross
+    if block_norms is None:
+        block_norms = _sq_norms(block)
+    if point_norms is None:
+        point_norms = _sq_norms(points)
+    d2 = block_norms[:, None] + point_norms[None, :] - 2.0 * cross
     np.maximum(d2, 0.0, out=d2)
     return d2
 
@@ -60,11 +73,12 @@ class DBSCAN:
         if n == 0:
             return np.empty(0, dtype=np.int64)
         eps2 = self.eps * self.eps
+        point_norms = _sq_norms(points)
         # Neighbor lists, computed blockwise to bound memory.
         neighbors: List[np.ndarray] = []
         for start in range(0, n, self.block_size):
             block = points[start : start + self.block_size]
-            d2 = _pairwise_sq_dists(block, points)
+            d2 = _pairwise_sq_dists(block, points, point_norms=point_norms)
             for row in d2:
                 neighbors.append(np.nonzero(row <= eps2)[0])
         labels = np.full(n, -1, dtype=np.int64)
@@ -101,7 +115,8 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     centers = np.empty((k, points.shape[1]), dtype=points.dtype)
     first = rng.integers(0, n)
     centers[0] = points[first]
-    closest = _pairwise_sq_dists(points, centers[0:1]).ravel()
+    norms = _sq_norms(points)
+    closest = _pairwise_sq_dists(points, centers[0:1], block_norms=norms).ravel()
     for c in range(1, k):
         total = closest.sum()
         if total <= 0:
@@ -110,7 +125,7 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
         probs = closest / total
         index = rng.choice(n, p=probs)
         centers[c] = points[index]
-        d2 = _pairwise_sq_dists(points, centers[c : c + 1]).ravel()
+        d2 = _pairwise_sq_dists(points, centers[c : c + 1], block_norms=norms).ravel()
         np.minimum(closest, d2, out=closest)
     return centers
 

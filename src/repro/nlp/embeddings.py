@@ -85,6 +85,9 @@ class HashedTfidfEmbedder:
 
     def _transform(self, texts: Sequence[str]) -> np.ndarray:
         matrix = np.zeros((len(texts), self.dims), dtype=np.float64)
+        # A corpus repeats a few thousand distinct features hundreds of
+        # thousands of times; hash each one once.
+        hashed: Dict[str, tuple] = {}
         for row, text in enumerate(texts):
             counts: Dict[str, int] = {}
             for feature in self.features(text):
@@ -94,7 +97,10 @@ class HashedTfidfEmbedder:
                 if idf == 0.0:
                     continue
                 weight = (1.0 + math.log(count)) * idf
-                index, sign = _hash_feature(feature, self.dims)
+                slot = hashed.get(feature)
+                if slot is None:
+                    slot = hashed[feature] = _hash_feature(feature, self.dims)
+                index, sign = slot
                 matrix[row, index] += sign * weight
         norms = np.linalg.norm(matrix, axis=1, keepdims=True)
         norms[norms == 0] = 1.0

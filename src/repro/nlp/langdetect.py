@@ -1,16 +1,21 @@
-"""Character n-gram language identification (the CLD2 role).
+"""Letter n-gram language identification (the CLD2 role).
 
-A tiny but effective classic: per-language character-trigram profiles
-built from bundled seed text, classification by cosine similarity of the
-document's trigram counts against each profile.  Distinguishing English
-from the Romance/Germanic/Turkish text that appears in collected posts
-is exactly what the paper needed CLD2 for.
+A tiny but effective classic: per-language profiles of letter unigrams
+and adjacent-letter pairs built from bundled seed text, classification by
+cosine similarity of the document's feature counts against each profile.
+Distinguishing English from the Romance/Germanic/Turkish text that
+appears in collected posts is exactly what the paper needed CLD2 for.
+
+Features ignore word boundaries: every non-letter is dropped before the
+pairs are formed, so "ab cd" yields the pair "bc" across the space (see
+:func:`_letter_features`).
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from operator import add, mul
 from typing import Dict, List, Tuple
 
 _SEED_TEXT: Dict[str, str] = {
@@ -84,15 +89,30 @@ import re
 _SOCIAL_TOKEN_RE = re.compile(r"(?:https?://\S+|[#@]\w+)")
 
 
-def _trigrams(text: str) -> Counter:
+def _letter_features(text: str) -> Counter:
+    """Counts of letter unigrams and adjacent-letter pairs.
+
+    Hashtags, mentions and URLs are removed first, then every character
+    that is not a letter.  Of the remaining letters ``l0 l1 l2 ...`` the
+    features are ``l0, l0+l1, l1, l1+l2, l2, ...`` in that interleaved
+    order, so pairs cross word boundaries:
+
+    >>> list(_letter_features("ab cd"))
+    ['a', 'ab', 'b', 'bc', 'c', 'cd', 'd']
+
+    These are the character trigrams of the letters spaced out and
+    padded (" a ", "a b", " b ", ...), without the spaces.  The first
+    appearance order fixes the order of the floating-point sums in
+    :meth:`LanguageDetector.scores`.
+    """
     # Hashtags, mentions, and URLs carry no language signal and skew the
-    # trigram profile (a "#motivation #motivationdaily" soup reads as
+    # profile (a "#motivation #motivationdaily" soup reads as
     # Romance-language text); strip them first, like CLD2 pipelines do.
-    text = _SOCIAL_TOKEN_RE.sub(" ", text.lower())
-    cleaned = " ".join(ch if ch.isalpha() or ch == " " else " " for ch in text)
-    cleaned = " ".join(cleaned.split())
-    padded = f" {cleaned} "
-    return Counter(padded[i : i + 3] for i in range(len(padded) - 2))
+    letters = "".join(filter(str.isalpha, _SOCIAL_TOKEN_RE.sub(" ", text.lower())))
+    features = [""] * (2 * len(letters) - 1)
+    features[::2] = letters
+    features[1::2] = map(add, letters, letters[1:])
+    return Counter(features)
 
 
 def _normalize(counts: Counter) -> Dict[str, float]:
@@ -103,7 +123,7 @@ def _normalize(counts: Counter) -> Dict[str, float]:
 
 
 class LanguageDetector:
-    """Trigram-profile language classifier.
+    """Letter-profile language classifier.
 
     >>> detector = LanguageDetector()
     >>> detector.detect("thank you all for watching the new video")
@@ -113,25 +133,46 @@ class LanguageDetector:
     """
 
     def __init__(self, min_confidence: float = 0.05) -> None:
-        self._profiles: Dict[str, Dict[str, float]] = {
-            lang: _normalize(_trigrams(text)) for lang, text in _SEED_TEXT.items()
+        profiles = {
+            lang: _normalize(_letter_features(text))
+            for lang, text in _SEED_TEXT.items()
+        }
+        self._languages: Tuple[str, ...] = tuple(profiles)
+        # One table for all languages: feature -> per-language weights
+        # (0.0 where a profile lacks the feature), so a document feature
+        # is looked up once rather than once per language.
+        features = dict.fromkeys(f for profile in profiles.values() for f in profile)
+        self._table: Dict[str, Tuple[float, ...]] = {
+            feature: tuple(profiles[lang].get(feature, 0.0) for lang in self._languages)
+            for feature in features
         }
         self.min_confidence = min_confidence
 
     @property
     def languages(self) -> List[str]:
-        return sorted(self._profiles)
+        return sorted(self._languages)
 
     def scores(self, text: str) -> List[Tuple[str, float]]:
         """(language, cosine score) sorted best-first."""
         if not isinstance(text, str):
             # Degraded records may carry None; score as empty text.
             text = ""
-        doc = _normalize(_trigrams(text))
-        results = []
-        for lang, profile in self._profiles.items():
-            score = sum(weight * profile.get(gram, 0.0) for gram, weight in doc.items())
-            results.append((lang, score))
+        counts = _letter_features(text)
+        norm = math.sqrt(sum(c * c for c in counts.values()))
+        weights: List[float] = []
+        rows: List[Tuple[float, ...]] = []
+        for feature, count in counts.items():
+            row = self._table.get(feature)
+            if row is not None:
+                weights.append(count / norm)
+                rows.append(row)
+        # A feature no profile has adds only zeros to every score, so it
+        # is skipped; the rest are summed in document order per language.
+        columns = zip(*rows) if rows else [()] * len(self._languages)
+        results = [
+            (lang, sum(map(mul, weights, column), 0.0))
+            for lang, column in zip(self._languages, columns)
+        ]
         results.sort(key=lambda pair: (-pair[1], pair[0]))
         return results
 

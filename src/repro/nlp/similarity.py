@@ -27,10 +27,19 @@ def normalized_word_similarity(a: str, b: str) -> float:
     >>> normalized_word_similarity("Selling 5 aged accounts!", "selling 99 aged accounts")
     1.0
     """
-    wa, wb = normalize_for_similarity(a), normalize_for_similarity(b)
-    if not wa and not wb:
+    return _ratio(
+        SequenceMatcher(b=normalize_for_similarity(b), autojunk=False),
+        normalize_for_similarity(a),
+    )
+
+
+def _ratio(matcher: SequenceMatcher, wa: List[str]) -> float:
+    """Similarity of the normalized words ``wa`` to the matcher's second
+    sequence; two empty sequences count as identical."""
+    if not wa and not matcher.b:
         return 1.0
-    return SequenceMatcher(a=wa, b=wb, autojunk=False).ratio()
+    matcher.set_seq1(wa)
+    return matcher.ratio()
 
 
 @dataclass
@@ -61,10 +70,14 @@ def reuse_groups(texts: Sequence[str], threshold: float = 0.88) -> List[ReuseGro
             x = parent[x]
         return x
 
+    normalized = [normalize_for_similarity(text) for text in texts]
     similarities: Dict[Tuple[int, int], float] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            sim = normalized_word_similarity(texts[i], texts[j])
+    for j in range(n):
+        # One matcher per second sequence: indexing b is the costly half
+        # of SequenceMatcher's set-up, and set_seq1 keeps that index.
+        matcher = SequenceMatcher(b=normalized[j], autojunk=False)
+        for i in range(j):
+            sim = _ratio(matcher, normalized[i])
             if sim >= threshold:
                 similarities[(i, j)] = sim
                 ri, rj = find(i), find(j)
@@ -86,7 +99,8 @@ def reuse_groups(texts: Sequence[str], threshold: float = 0.88) -> List[ReuseGro
         if not sims:
             # Linked only transitively: recompute the direct bounds.
             sims = [
-                normalized_word_similarity(texts[a], texts[b])
+                _ratio(SequenceMatcher(b=normalized[b], autojunk=False),
+                       normalized[a])
                 for ai, a in enumerate(group_indices)
                 for b in group_indices[ai + 1 :]
             ]

@@ -214,7 +214,7 @@ def compute_scorecard(
     """
     from repro.analysis.efficacy import EfficacyAnalysis
     from repro.analysis.network import NetworkAnalysis
-    from repro.analysis.scam_posts import ScamPipelineConfig, ScamPostAnalysis
+    from repro.analysis.scam_posts import ScamPostAnalysis
     from repro.analysis.underground_analysis import UndergroundAnalysis
 
     dataset = result.dataset
@@ -238,7 +238,6 @@ def compute_scorecard(
 
     if scam is None and "scam_posts" not in failed_stages:
         scam = ScamPostAnalysis(
-            ScamPipelineConfig(dbscan_eps=0.9),
             telemetry=getattr(result, "telemetry", None),
         ).run(dataset)
     if network is None and "network" not in failed_stages:

@@ -14,7 +14,7 @@ from repro.synthetic.scamtext import SUBTYPE_TO_CATEGORY
 
 @pytest.fixture(scope="module")
 def scam_report(dataset):
-    return ScamPostAnalysis(ScamPipelineConfig(dbscan_eps=0.9)).run(dataset)
+    return ScamPostAnalysis().run(dataset)
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,6 @@ from repro.analysis import (
     EfficacyAnalysis,
     MarketplaceAnatomy,
     NetworkAnalysis,
-    ScamPipelineConfig,
     ScamPostAnalysis,
     UndergroundAnalysis,
 )
@@ -96,7 +95,7 @@ class TestReports:
         assert "TikTok" in text
 
     def test_table5_and_6(self, dataset):
-        report = ScamPostAnalysis(ScamPipelineConfig(dbscan_eps=0.9)).run(dataset)
+        report = ScamPostAnalysis().run(dataset)
         t5 = reports.render_table5(report, TEST_SCALE)
         t6 = reports.render_table6(report, TEST_SCALE)
         assert "Total" in t5

@@ -12,7 +12,6 @@ from repro.analysis import (
     EfficacyAnalysis,
     MarketplaceAnatomy,
     NetworkAnalysis,
-    ScamPipelineConfig,
     ScamPostAnalysis,
 )
 from repro.synthetic.model import AccountFate
@@ -145,7 +144,7 @@ class TestAnalysesAgreeWithTruth:
 
     def test_scam_detection_end_to_end(self, study_result):
         world = study_result.world
-        report = ScamPostAnalysis(ScamPipelineConfig(dbscan_eps=0.9)).run(
+        report = ScamPostAnalysis().run(
             study_result.dataset
         )
         truth_scammers = {
