@@ -174,15 +174,6 @@ class ClusterVetter:
             )
         return verdicts
 
-    @staticmethod
-    def _indicator_hits(tokens: Set[str], indicators: Sequence[str]) -> int:
-        """Count the indicators that some token matches (see
-        :func:`_token_matches`)."""
-        return sum(
-            1 for indicator in indicators
-            if any(_token_matches(token, indicator) for token in tokens)
-        )
-
     def _matched_indicators(self, tokens: Set[str]) -> Set[str]:
         """Every codebook indicator that some token in ``tokens`` matches."""
         memo = self._token_memo

@@ -41,6 +41,8 @@ import json
 import os
 from typing import BinaryIO, Dict, Iterator, List, Optional, Tuple
 
+from repro.util.fileio import atomic_write_lines
+
 PACK_SUFFIX = ".pack"
 SIDECAR_SUFFIX = ".pack.idx"
 
@@ -132,14 +134,13 @@ class BlobStore:
             self._handle = None
             phase = self._phase
             assert phase is not None  # set before the handle ever opens
-            sidecar = self.sidecar_path(phase)
-            with open(sidecar + ".tmp", "w", encoding="utf-8") as f:
-                for digest, (offset, size) in self._phase_index.items():
-                    f.write(json.dumps(
-                        {"offset": offset, "sha256": digest, "size": size},
-                        sort_keys=True,
-                    ) + "\n")
-            os.replace(sidecar + ".tmp", sidecar)
+            atomic_write_lines(self.sidecar_path(phase), (
+                json.dumps(
+                    {"offset": offset, "sha256": digest, "size": size},
+                    sort_keys=True,
+                )
+                for digest, (offset, size) in self._phase_index.items()
+            ))
             entries = self._load()
             for digest, (offset, size) in self._phase_index.items():
                 entries.setdefault(digest, (phase, offset, size))

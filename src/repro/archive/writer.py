@@ -45,6 +45,7 @@ from repro.archive.blobstore import BlobStore
 from repro.archive.records import ROLE_EXCHANGE, ROLE_OUTCOME, ArchiveError
 from repro.obs.schemas import ARCHIVE_SCHEMA
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
+from repro.util.fileio import atomic_write_json
 
 ARCHIVE_MANIFEST = "archive.json"
 INDEX_DIRNAME = "index"
@@ -456,12 +457,8 @@ class ArchiveWriter:
             "dedup_ratio": round(dedup_ratio, 6),
             "sealed": True,
         }
-        path = os.path.join(self.root, ARCHIVE_MANIFEST)
-        temp_path = path + ".tmp"
-        with open(temp_path, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        os.replace(temp_path, path)
+        atomic_write_json(os.path.join(self.root, ARCHIVE_MANIFEST), manifest,
+                          indent=2, sort_keys=True, trailing_newline=True)
         self.sealed = True
         self._m_dedup.set(round(dedup_ratio, 6))
         self.telemetry.events.emit(

@@ -432,6 +432,8 @@ def build_catalog(run_dirs: List[str], out_dir: str) -> BuildResult:
         os.remove(tmp_path)
     conn = sqlite3.connect(tmp_path)
     try:
+        # No on-disk journal: a torn private .tmp is never renamed in.
+        conn.execute("PRAGMA journal_mode=MEMORY")
         conn.executescript(_SCHEMA_SQL)
         seller_ids = _insert_sellers(conn, run_dirs)
         tables = {"listings": 0, "price_history": 0, "scorecards": 0}
@@ -448,6 +450,8 @@ def build_catalog(run_dirs: List[str], out_dir: str) -> BuildResult:
         conn.commit()
     finally:
         conn.close()
+    # A hand-rolled replace, not util.fileio: SQLite writes the file
+    # itself, so there is no text stream to hand to atomic_write.
     os.replace(tmp_path, db_path)
 
     atomic_write_json(manifest_path, {

@@ -3,7 +3,7 @@
 Layout of a store directory::
 
     <dir>/
-      store.json                 # manifest (repro.store/v1), atomic replace
+      store.json                 # manifest (repro.store/v1), written once
       segments/
         listings-000000.seg      # JSONL records + one footer line
         listings-000001.seg
@@ -13,10 +13,13 @@ Layout of a store directory::
 Records append to fixed-size JSONL **segments**, one family per record
 type.  When a segment reaches ``segment_max_records`` it is *sealed*:
 a footer line carrying the record count and the SHA-256 of the payload
-bytes is appended, the file is fsynced, and the manifest is atomically
-replaced to claim it.  The manifest is therefore always a consistent
-snapshot of the sealed prefix; the at-most-one unsealed tail segment
-per record type is the only part of the store a crash can tear.
+bytes is appended and the file is fsynced.  The footer is the
+segment's own checksummed claim.  The manifest is the store's single
+final claim: :meth:`StoreWriter.seal` writes it once, atomically and
+fsynced, after every segment is sealed, so a store with a manifest is
+complete (or marked ``partial``).  Until then the at-most-one unsealed
+tail segment per record type is the only part of the store a crash can
+tear.
 
 Crash recovery on read:
 
@@ -28,8 +31,11 @@ Crash recovery on read:
   :class:`~repro.contracts.quarantine.QuarantineStore` dead-letter
   channel and skipped, so one rotten segment costs its own records, not
   the run;
-* a missing manifest is not fatal: every segment is scanned as a tail
-  (footers still validate when present).
+* a missing manifest (a crash before the final seal) is not fatal:
+  every segment that ends in a footer is checksum-verified against it
+  exactly like a claimed one, the rest are scanned as tails, and
+  :meth:`StoreReader.verify` reports gaps in a record type's segment
+  sequence numbers (a lost middle segment).
 
 Reads are streaming: :meth:`StoreReader.iter_records` yields one record
 dict at a time, holding at most one segment's bytes in memory, and
@@ -63,8 +69,8 @@ SEGMENTS_DIRNAME = "segments"
 SEGMENT_SUFFIX = ".seg"
 
 #: Records per segment before it seals.  Small enough that one segment
-#: in memory is bounded (~hundreds of KB), large enough that manifest
-#: rewrites stay rare.
+#: in memory is bounded (~hundreds of KB), large enough that per-seal
+#: fsyncs stay rare.
 DEFAULT_SEGMENT_RECORDS = 512
 
 #: The footer line's sentinel key (no record payload carries it).
@@ -246,7 +252,7 @@ class StoreWriter:
                 # Degraded flush: leave the segment as a recoverable
                 # tail rather than losing the records that did land.
                 self._drop_open(segment)
-        manifest = self._manifest_document(sealed=True, partial=partial)
+        manifest = self._manifest_document(partial=partial)
         atomic_write_json(
             os.path.join(self.directory, STORE_MANIFEST_FILENAME),
             manifest, fsync=True, faults=self.faults,
@@ -321,8 +327,10 @@ class StoreWriter:
         segment.handle = open(segment.path, "a", encoding="utf-8")
 
     def _seal_segment(self, segment: _OpenSegment) -> None:
-        """Footer + fsync + manifest update: the segment becomes part of
-        the store's durable, checksummed prefix."""
+        """Footer + fsync: the segment becomes part of the store's
+        durable, checksummed prefix.  The footer is the segment's claim;
+        the manifest entry recorded here is written once, by
+        :meth:`seal`."""
         footer = {FOOTER_KEY: {
             "records": segment.records,
             "sha256": segment.hasher.hexdigest(),
@@ -337,9 +345,6 @@ class StoreWriter:
             raise DiskWriteError(
                 f"segment fsync failed: {exc}"
             ) from exc
-        finally:
-            if segment.handle.closed:
-                pass
         segment.handle.close()
         self._open.pop(segment.record_type, None)
         self._sealed.append({
@@ -355,17 +360,11 @@ class StoreWriter:
             segment=os.path.basename(segment.path),
             records=segment.records,
         )
-        atomic_write_json(
-            os.path.join(self.directory, STORE_MANIFEST_FILENAME),
-            self._manifest_document(sealed=False),
-            fsync=True, faults=self.faults,
-        )
 
-    def _manifest_document(self, sealed: bool,
-                           partial: Optional[str] = None) -> dict:
+    def _manifest_document(self, partial: Optional[str] = None) -> dict:
         document = {
             "schema": STORE_SCHEMA,
-            "sealed": sealed,
+            "sealed": True,
             "segment_max_records": self.segment_max_records,
             "counts": self.counts(),
             "segments": list(self._sealed),
@@ -547,16 +546,19 @@ class StoreReader:
 
     def _iter_segment(self, view: _SegmentView) -> Iterator[dict]:
         payload = self._read_segment_bytes(view)
-        if view.sealed_entry is not None:
-            problem = _sealed_segment_problem(payload, view.sealed_entry)
+        # A segment the manifest does not claim (a crash before the
+        # final seal) but that ends in a footer is sealed all the same:
+        # its footer is the claim it is checked against.
+        claim = view.sealed_entry or _trailing_footer(payload)
+        if claim is not None:
+            problem = _sealed_segment_problem(payload, claim)
             if problem is not None:
                 self._quarantine_segment(view, problem)
                 return
             for line in payload.splitlines()[:-1]:  # last line = footer
                 yield json.loads(line)
             return
-        # Unsealed tail (or a sealed-but-unclaimed segment after a crash
-        # between footer and manifest): scan line by line, recovering.
+        # Unsealed tail: scan line by line, recovering.
         yield from self._iter_tail(view, payload)
 
     def _iter_tail(self, view: _SegmentView, payload: bytes) -> Iterator[dict]:
@@ -584,9 +586,9 @@ class StoreReader:
                     self._quarantine_line(view, raw, str(exc), index)
                 continue
             if isinstance(parsed, dict) and FOOTER_KEY in parsed:
-                # A footer seals the segment: everything before it was
-                # verified implicitly by arriving intact, and nothing
-                # legitimately appends past it.  Quarantine any trailing
+                # A footer with bytes after it (one at the very end
+                # takes the sealed path above): nothing legitimately
+                # appends past a footer, so quarantine the trailing
                 # bytes instead of serving them as data.
                 for extra_index in range(index + 1, len(lines)):
                     extra = lines[extra_index]
@@ -656,11 +658,11 @@ class StoreReader:
     def verify(self) -> List[str]:
         """Audit the whole store; returns one line per problem.
 
-        Checks: every manifest segment exists, matches its recorded
-        byte size, checksum, and record count; unclaimed segments decode
-        (a recovered torn tail is reported as a note-level problem only
-        when strict callers want it — here it is *not* a problem, it is
-        the design); counts add up.
+        Checks: every manifest segment exists and matches its recorded
+        checksum and record count; an unclaimed segment that ends in a
+        footer matches its footer; other unclaimed segments decode (a
+        recovered torn tail is *not* a problem, it is the design); and
+        no record type has a gap in its segment sequence numbers.
         """
         problems: List[str] = []
         claimed = set()
@@ -680,20 +682,53 @@ class StoreReader:
             problem = _sealed_segment_problem(payload, entry)
             if problem is not None:
                 problems.append(f"{name}: {problem}")
+        seqs: Dict[str, List[int]] = {}
         for view in self._segments():
+            seqs.setdefault(view.record_type, []).append(view.seq)
             if view.name in claimed:
                 continue
             payload = self._read_segment_bytes(view)
+            footer = _trailing_footer(payload)
+            if footer is not None:
+                problem = _sealed_segment_problem(payload, footer)
+                if problem is not None:
+                    problems.append(f"{view.name}: {problem}")
+                continue
             problems.extend(
                 f"{view.name}: {issue}"
                 for issue in _tail_segment_problems(payload)
             )
+        for record_type, present in sorted(seqs.items()):
+            for seq in sorted(set(range(present[-1])) - set(present)):
+                name = segment_name(record_type, seq)
+                if name not in claimed:  # else reported missing above
+                    problems.append(
+                        f"{name}: missing (gap in the {record_type} "
+                        f"segment sequence)"
+                    )
         return problems
 
 
+def _trailing_footer(payload: bytes) -> Optional[dict]:
+    """The footer of a segment whose last complete line is one (None for
+    a tail: torn, footerless, or with bytes past its footer)."""
+    if not payload.endswith(b"\n"):
+        return None
+    last = payload[payload.rfind(b"\n", 0, -1) + 1:-1]
+    if FOOTER_KEY.encode("utf-8") not in last:
+        return None
+    try:
+        parsed = json.loads(last)
+    except json.JSONDecodeError:
+        return None
+    footer = parsed.get(FOOTER_KEY) if isinstance(parsed, dict) else None
+    return footer if isinstance(footer, dict) else None
+
+
 def _sealed_segment_problem(payload: bytes, entry: dict) -> Optional[str]:
-    """Why a sealed segment's bytes do not match its manifest claim
-    (None when clean)."""
+    """Why a sealed segment's bytes do not match its claim: the manifest
+    entry, or for an unclaimed segment its own footer (None when
+    clean)."""
     lines = payload.split(b"\n")
     if not lines or lines[-1] != b"":
         return "sealed segment does not end in a newline"

@@ -48,8 +48,12 @@ def test_sigkill_mid_append_reloads_flushed_prefix(tmp_path):
     child.wait()
     assert len(acked) >= 40, "child never got going"
 
-    from repro.store import StoreReader
+    from repro.store import STORE_MANIFEST_FILENAME, StoreReader
 
+    # The manifest is written once, by the final seal: a killed writer
+    # leaves none, and the footers alone carry the sealed segments.
+    assert not os.path.exists(
+        os.path.join(directory, STORE_MANIFEST_FILENAME))
     reader = StoreReader.open(directory)
     survivors = [r["i"] for r in reader.iter_records("listings")]
     # Every record the child acknowledged (append + flush returned

@@ -14,6 +14,7 @@ from repro.serve import (
     catalog_digest,
     source_digest,
 )
+from repro.serve import catalog as catalog_module
 from repro.store import save_dataset
 
 from tests.serve.conftest import scorecard_doc, small_dataset, write_run
@@ -120,6 +121,61 @@ class TestDeterminism:
         run_a = write_run(str(tmp_path / "a"), small_dataset())
         run_b = write_run(str(tmp_path / "b"), small_dataset(5.0))
         assert source_digest([run_a, run_b]) != source_digest([run_b, run_a])
+
+
+class TestBuildFiles:
+    """The build writes through a private ``.tmp`` database that never
+    needs an on-disk rollback journal."""
+
+    def test_build_leaves_only_manifest_and_db(self, catalog_dir):
+        assert sorted(os.listdir(catalog_dir)) == \
+            sorted([CATALOG_FILENAME, CATALOG_DB_FILENAME])
+
+    def test_no_journal_file_during_build(self, run_dir, tmp_path,
+                                          monkeypatch):
+        out = str(tmp_path / "catalog")
+        seen = []
+        insert_rows = catalog_module._insert_run_rows
+
+        def spy(*args, **kwargs):
+            # Mid-transaction: seller rows are already written.
+            seen.append(sorted(os.listdir(out)))
+            return insert_rows(*args, **kwargs)
+
+        monkeypatch.setattr(catalog_module, "_insert_run_rows", spy)
+        build_catalog([run_dir], out)
+        assert seen == [[CATALOG_DB_FILENAME + ".tmp"]]
+
+    def test_twin_store_runs_byte_identical_catalog(self, tmp_path):
+        outs = []
+        for name in ("first", "second"):
+            store = str(tmp_path / name / "store")
+            save_dataset(small_dataset(), store)
+            outs.append(str(tmp_path / name / "catalog"))
+            build_catalog([store], outs[-1])
+        for filename in (CATALOG_FILENAME, CATALOG_DB_FILENAME):
+            assert open(os.path.join(outs[0], filename), "rb").read() \
+                == open(os.path.join(outs[1], filename), "rb").read()
+
+    def test_failed_build_leaves_catalog_untouched(self, run_dir, tmp_path,
+                                                   monkeypatch):
+        out = str(tmp_path / "catalog")
+        build_catalog([run_dir], out)
+        before = {name: open(os.path.join(out, name), "rb").read()
+                  for name in (CATALOG_FILENAME, CATALOG_DB_FILENAME)}
+        changed = write_run(str(tmp_path / "changed"), small_dataset(5.0))
+
+        def explode(*args, **kwargs):
+            raise RuntimeError("injected mid-build failure")
+
+        monkeypatch.setattr(catalog_module, "_insert_run_rows", explode)
+        with pytest.raises(RuntimeError, match="injected"):
+            build_catalog([changed], out)
+        for name, content in before.items():
+            assert open(os.path.join(out, name), "rb").read() == content
+        monkeypatch.undo()
+        with Catalog.open(out) as catalog:
+            assert catalog.digest == catalog_digest(out)
 
 
 class TestLayouts:

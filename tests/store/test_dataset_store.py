@@ -79,6 +79,30 @@ class TestBridge:
         with open(os.path.join(directory, "store.json")) as handle:
             assert json.load(handle)["partial"] == "disk_full"
 
+    def test_save_replaces_once_and_fsyncs_each_segment_once(
+            self, tmp_path, monkeypatch):
+        # One fsync per sealed segment plus one for the manifest, and
+        # the manifest's rename is the only os.replace of the save.
+        calls = {"replace": 0, "fsync": 0}
+        real_replace, real_fsync = os.replace, os.fsync
+
+        def counted_replace(*args, **kwargs):
+            calls["replace"] += 1
+            return real_replace(*args, **kwargs)
+
+        def counted_fsync(*args, **kwargs):
+            calls["fsync"] += 1
+            return real_fsync(*args, **kwargs)
+
+        monkeypatch.setattr(os, "replace", counted_replace)
+        monkeypatch.setattr(os, "fsync", counted_fsync)
+        directory = str(tmp_path / "store")
+        save_dataset(_dataset(listings=7, sellers=4, profiles=2),
+                     directory, segment_max_records=3)
+        segments = len(os.listdir(os.path.join(directory, "segments")))
+        assert segments == 3 + 2 + 1
+        assert calls == {"replace": 1, "fsync": segments + 1}
+
     def test_save_refuses_existing_store_directory(self, tmp_path):
         directory = str(tmp_path / "store")
         save_dataset(_dataset(), directory)

@@ -99,7 +99,8 @@ class TestWriterReader:
         # the reader must recover — never a base for new appends.
         directory = str(tmp_path / "store")
         _fill(directory, 3, seal=False)
-        os.remove(os.path.join(directory, STORE_MANIFEST_FILENAME))
+        assert not os.path.exists(
+            os.path.join(directory, STORE_MANIFEST_FILENAME))
         with pytest.raises(StoreError, match="already holds a store"):
             StoreWriter(directory)
 
@@ -147,7 +148,8 @@ class TestCrashRecovery:
         # has a valid footer but the manifest does not claim it.
         directory = str(tmp_path / "store")
         _fill(directory, 3, segment_max=3, seal=False)
-        os.remove(os.path.join(directory, STORE_MANIFEST_FILENAME))
+        assert not os.path.exists(
+            os.path.join(directory, STORE_MANIFEST_FILENAME))
         reader = StoreReader.open(directory)
         assert len(list(reader.iter_records("listings"))) == 3
 
@@ -235,7 +237,8 @@ class TestCorruption:
         # appends to a sealed segment) and must never be yielded.
         directory = str(tmp_path / "store")
         _fill(directory, 3, segment_max=3, seal=False)
-        os.remove(os.path.join(directory, STORE_MANIFEST_FILENAME))
+        assert not os.path.exists(
+            os.path.join(directory, STORE_MANIFEST_FILENAME))
         with open(_segment_path(directory), "ab") as handle:
             handle.write(b'{"offer_url": "smuggled", "i": 99}\n')
         quarantine = QuarantineStore()
@@ -259,6 +262,79 @@ class TestCorruption:
         assert list(reader.iter_records("listings")) == []
         assert reader.quarantined_segments == 1
         assert faults.counts.get("bit_flip", 0) >= 1
+
+
+class TestUnclaimedSealedSegments:
+    """A crash before the final seal leaves no manifest; each segment's
+    footer is then the claim it is checked against."""
+
+    def test_writer_leaves_no_manifest_before_seal(self, tmp_path):
+        directory = str(tmp_path / "store")
+        _fill(directory, 7, segment_max=3, seal=False)
+        assert not os.path.exists(
+            os.path.join(directory, STORE_MANIFEST_FILENAME))
+        assert StoreReader.open(directory).manifest is None
+
+    def test_bit_flip_in_unclaimed_sealed_segment_is_quarantined(
+            self, tmp_path):
+        # Sealed segments whose manifest is gone (the state a crash
+        # before the final seal leaves, for every sealed segment).
+        directory = str(tmp_path / "store")
+        _fill(directory, 6, segment_max=3)
+        os.remove(os.path.join(directory, STORE_MANIFEST_FILENAME))
+        path = _segment_path(directory, seq=0)
+        with open(path, "rb") as handle:
+            payload = bytearray(handle.read())
+        # '{"i":0,...' -> '{"i":1,...': the line still decodes, so only
+        # the footer checksum can tell.
+        assert payload[:6] == b'{"i":0'
+        payload[5] ^= 0x01
+        with open(path, "wb") as handle:
+            handle.write(bytes(payload))
+        quarantine = QuarantineStore()
+        reader = StoreReader.open(directory, quarantine=quarantine)
+        assert [r["i"] for r in reader.iter_records("listings")] == \
+            [3, 4, 5]
+        assert reader.quarantined_segments == 1
+        assert quarantine.total == 1
+        assert reader.verify() == [
+            f"{segment_name('listings', 0)}: "
+            f"footer checksum does not match segment bytes"
+        ]
+
+    def test_footer_count_mismatch_is_quarantined(self, tmp_path):
+        directory = str(tmp_path / "store")
+        _fill(directory, 3, segment_max=3)
+        os.remove(os.path.join(directory, STORE_MANIFEST_FILENAME))
+        path = _segment_path(directory)
+        with open(path, "rb") as handle:
+            lines = handle.read().split(b"\n")
+        del lines[1]  # a lost record line: every remaining line decodes
+        with open(path, "wb") as handle:
+            handle.write(b"\n".join(lines))
+        reader = StoreReader.open(directory)
+        assert list(reader.iter_records("listings")) == []
+        assert reader.quarantined_segments == 1
+        problems = reader.verify()
+        assert len(problems) == 1 and "footer claims 3 records" in \
+            problems[0]
+
+    def test_verify_reports_missing_middle_segment(self, tmp_path):
+        directory = str(tmp_path / "store")
+        _fill(directory, 9, segment_max=3, seal=False)
+        os.remove(_segment_path(directory, seq=1))
+        assert StoreReader.open(directory).verify() == [
+            f"{segment_name('listings', 1)}: "
+            f"missing (gap in the listings segment sequence)"
+        ]
+
+    def test_missing_claimed_segment_is_reported_once(self, tmp_path):
+        directory = str(tmp_path / "store")
+        _fill(directory, 9, segment_max=3)
+        os.remove(_segment_path(directory, seq=1))
+        assert StoreReader.open(directory).verify() == [
+            f"{segment_name('listings', 1)}: listed in manifest but missing"
+        ]
 
 
 class TestGroupedView:
