@@ -6,30 +6,31 @@ to the crawlers — final responses after redirects and retries, or the
 errors it raised.  :class:`ReplayClient` exposes the same ``get``/
 ``post``/``request`` surface and feeds that sequence back, validating on
 every call that the replayed code asked for the same request the live
-run made.  The crawlers, profile collector, and underground collector
-then re-run *for real* — Module-2 extraction genuinely re-executes over
-the archived bytes — followed by contracts, the supervised nine-stage
-analysis suite, and the fidelity scorecard.
+run made.
 
-Nothing else from the live run happens: no synthetic Internet is built,
-no sites deploy, no faults inject, no politeness waits or retries burn
-simulated time.  The :class:`ReplayClock` instead jumps straight to each
-outcome's archived ``sim_at``, so every timestamp-derived artifact
-(including ``simulated_seconds``) is byte-identical to the live run's.
+Replay is not a second pipeline: :func:`run_replay` runs
+:class:`~repro.core.pipeline.Study` over an :class:`ArchiveNetwork`, so
+every phase of the live run re-executes over the archived bytes under
+the same span names, and live/replay parity holds by construction.
 
-The ground-truth world the scorecard needs is rebuilt purely from the
-archived seed/scale config — world construction never touches the
-network in the live pipeline either.
+Nothing else from the live run happens: no sites deploy, no faults
+inject, no politeness waits or retries burn simulated time.  The
+:class:`ReplayClock` instead jumps straight to each outcome's archived
+``sim_at``, so every timestamp-derived artifact (including
+``simulated_seconds``) is byte-identical to the live run's.  The
+ground-truth world the scorecard needs is rebuilt from the archived
+seed/scale config — world construction never touches the network.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Type
+from typing import Dict, List, Optional, Type
 
 from repro.archive.reader import ArchiveReader
 from repro.archive.records import ExchangeRecord
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.util.simtime import SimClock
+from repro.web.client import ClientStats
 from repro.web.http import (
     CircuitOpen,
     ConnectionFailed,
@@ -93,6 +94,8 @@ class ReplayClient:
         self.client_id = client_id
         self._clock = clock
         self.telemetry = telemetry or NULL_TELEMETRY
+        #: Nothing goes over a wire offline; kept for the profiler.
+        self.stats = ClientStats()
 
     # -- HttpClient surface --------------------------------------------------
 
@@ -159,17 +162,51 @@ class ReplayClient:
         return record
 
 
-def _study_config_from(manifest_config: dict):
-    # Imported here, not at module top: repro.core.pipeline imports the
-    # archive writer, so a top-level import would be circular.
-    from repro.core.pipeline import StudyConfig
+class ArchiveNetwork:
+    """A sealed archive as the network a :class:`~repro.core.pipeline.Study`
+    crawls: the :class:`~repro.core.pipeline.LiveNetwork` surface with one
+    :class:`ReplayClient` per archived stream and no watchdog."""
 
-    return StudyConfig(
-        seed=int(manifest_config["seed"]),
-        scale=float(manifest_config["scale"]),
-        iterations=int(manifest_config["iterations"]),
-        include_underground=bool(manifest_config["include_underground"]),
-    )
+    fault_injector = None
+    disk_faults = None
+    archive = None
+    expected_counts = None
+
+    def __init__(
+        self, reader: ArchiveReader, telemetry: Optional[Telemetry] = None
+    ) -> None:
+        self._reader = reader
+        self._telemetry = telemetry or NULL_TELEMETRY
+        self._streams = reader.outcome_streams()
+        self._clients: List[ReplayClient] = []
+        self.clock = ReplayClock()
+
+    def client(self, client_id: str, via_tor: bool = False) -> ReplayClient:
+        client = ReplayClient(
+            self._reader, self._streams.get(client_id, []), client_id,
+            self.clock, self._telemetry,
+        )
+        self._clients.append(client)
+        return client
+
+    def _offline(self, *_args) -> None:
+        """No sites to deploy, advance or moderate, no fault epochs."""
+
+    deploy = begin_iteration = begin_post_collection = begin_sweep = _offline
+
+    def finish(self) -> dict:
+        """Check every archived outcome was consumed and pin the clock to
+        the archived end-of-run instant, so ``simulated_seconds`` matches
+        even if the final archived exchanges carried no outcome."""
+        for replayed in self._clients:
+            if replayed.remaining:
+                raise ReplayMismatch(
+                    f"client {replayed.client_id!r} left "
+                    f"{replayed.remaining} archived outcomes unconsumed — "
+                    "the replayed code diverged from the recorded run"
+                )
+        self.clock.set_at_least(self._reader.sim_seconds)
+        return self._reader.summary()
 
 
 def run_replay(
@@ -183,142 +220,33 @@ def run_replay(
     unsealed archive, :class:`ReplayMismatch` when the replayed code
     requests anything other than the recorded sequence.
     """
-    from repro.analysis.suite import run_analysis_suite
-    from repro.core.pipeline import StudyResult
-    from repro.contracts.quarantine import QuarantineStore
-    from repro.contracts.schema import validate_dataset
-    from repro.contracts.supervisor import StageSupervisor
-    from repro.crawler.crawler import IterationCrawl, MarketplaceCrawler
-    from repro.crawler.profile_collector import ProfileCollector
-    from repro.crawler.underground_collector import UndergroundCollector
-    from repro.marketplaces.registry import MARKETPLACES
-    from repro.marketplaces.underground import onion_host
-    from repro.obs.quality import compute_scorecard
-    from repro.synthetic.world import WorldBuilder
-    from repro.util.rng import RngTree
-    from repro.web.captcha import HumanSolver
+    # Imported here, not at module top: repro.core.pipeline imports the
+    # archive writer, so a top-level import would be circular.
+    from repro.core.pipeline import Study, StudyConfig
 
     telemetry = telemetry or NULL_TELEMETRY
     reader = ArchiveReader.open(archive_dir)
-    config = _study_config_from(reader.config)
-    clock = ReplayClock()
-    telemetry.set_clock(clock)
-
-    # Ground truth for the scorecard: the world is a pure function of the
-    # archived seed/scale config — no network involved, live or offline.
-    world = WorldBuilder(config.world_config()).build()
-
-    streams = reader.outcome_streams()
-    clients: List[ReplayClient] = []
-
-    def replay_client(client_id: str) -> ReplayClient:
-        client = ReplayClient(
-            reader, streams.get(client_id, []), client_id, clock, telemetry
-        )
-        clients.append(client)
-        return client
-
-    client = replay_client("crawler")
-    crawl = IterationCrawl(
-        client=client,
-        seed_urls={
-            name: f"http://{spec.host}/listings"
-            for name, spec in MARKETPLACES.items()
-        },
-        set_iteration=lambda iteration: None,  # no sites to advance
-        iterations=config.iterations,
-        telemetry=telemetry,
+    archived = reader.config
+    config = StudyConfig(
+        seed=int(archived["seed"]),
+        scale=float(archived["scale"]),
+        iterations=int(archived["iterations"]),
+        include_underground=bool(archived["include_underground"]),
+        telemetry_enabled=telemetry.enabled,
+        # The archive this run reads (only a LiveNetwork writes one).
+        archive_dir=archive_dir,
     )
-    with telemetry.tracer.span("replay.iteration_crawl"):
-        dataset = crawl.run()
-
-    payments: Dict[str, List[Tuple[str, str]]] = {}
-    with telemetry.tracer.span("replay.payment_pages"):
-        for name, spec in MARKETPLACES.items():
-            crawler = MarketplaceCrawler(
-                client, name, f"http://{spec.host}/listings",
-                telemetry=telemetry,
-            )
-            payments[name] = crawler.collect_payment_methods()
-
-    collector = ProfileCollector(client, telemetry=telemetry)
-    with telemetry.tracer.span("replay.profile_collection"):
-        profiles, posts = collector.collect(dataset.listings)
-    dataset.profiles = profiles
-    dataset.posts = posts
-    with telemetry.tracer.span("replay.status_sweep"):
-        collector.sweep_status(dataset.profiles)
-
-    if config.include_underground and "manual-analyst" in streams:
-        tor_client = replay_client("manual-analyst")
-        # Same solver RNG the live pipeline derives: children of an
-        # RngTree come from (seed, name), so skipping the deploy stage
-        # does not perturb the stream.
-        solver_rng = RngTree(config.seed, name="study").child("solver")
-        manual = UndergroundCollector(
-            client=tor_client,
-            solver=HumanSolver(solver_rng),
-            telemetry=telemetry,
-        )
-        markets = sorted({
-            posting.market for posting in world.underground_postings
-        })
-        with telemetry.tracer.span("replay.underground_collection"):
-            for market in markets:
-                dataset.underground.extend(
-                    manual.collect_market(market, onion_host(market))
-                )
-
-    # Contract boundary re-validates the replayed records, exactly as the
-    # live run validated the originals.
-    quarantine = QuarantineStore(telemetry if telemetry.enabled else None)
-    with telemetry.tracer.span("replay.contracts"):
-        contracts = validate_dataset(
-            dataset, quarantine, telemetry if telemetry.enabled else None
-        )
-
-    for replayed in clients:
-        if replayed.remaining:
-            raise ReplayMismatch(
-                f"client {replayed.client_id!r} left {replayed.remaining} "
-                "archived outcomes unconsumed — the replayed code diverged "
-                "from the recorded run"
-            )
-
-    # Pin the clock to the archived end-of-run instant so
-    # ``simulated_seconds`` matches even if the final archived exchanges
-    # carried no outcome for this stream.
-    clock.set_at_least(reader.sim_seconds)
-
-    result = StudyResult(
-        dataset=dataset,
-        world=world,
-        active_per_iteration=crawl.active_per_iteration,
-        cumulative_per_iteration=crawl.cumulative_per_iteration,
-        payment_methods=payments,
-        crawl_reports=crawl.reports,
-        simulated_seconds=clock.now(),
-        telemetry=telemetry,
-        contracts=contracts,
-        quarantine=quarantine,
-        archive=reader.summary(),
-    )
-    # Replay exists to analyze many times: always run the supervised
-    # suite and score the result, telemetry or not.
-    supervisor = StageSupervisor(telemetry if telemetry.enabled else None)
-    with telemetry.tracer.span("replay.analysis_suite"):
-        result.analyses = run_analysis_suite(
-            dataset, supervisor, telemetry=telemetry
-        )
-    result.stage_failures = list(supervisor.failures)
-    with telemetry.tracer.span("replay.scorecard"):
-        result.scorecard = compute_scorecard(result, analyses=result.analyses)
-    if telemetry.enabled:
-        result.scorecard.register_gauges(telemetry.metrics)
+    study = Study(config, telemetry, network=ArchiveNetwork(reader, telemetry))
+    result = study.run()
+    # Replay exists to analyze many times: score the result even when
+    # telemetry is off and the run therefore skipped it.
+    if result.scorecard is None:
+        study.analyze(result)
     return result
 
 
 __all__ = [
+    "ArchiveNetwork",
     "ReplayClient",
     "ReplayClock",
     "ReplayError",

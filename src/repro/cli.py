@@ -193,6 +193,24 @@ def _study_config(args: argparse.Namespace) -> StudyConfig:
     )
 
 
+def study_meta(config: StudyConfig, result) -> dict:
+    """The ``study_meta.json`` document of a finished run: its config
+    and the crawl artifacts report/figures read back (Figure-2 series,
+    payment-method matrix)."""
+    return {
+        "seed": config.seed,
+        "scale": config.scale,
+        "iterations": config.iterations,
+        "active_per_iteration": result.active_per_iteration,
+        "cumulative_per_iteration": result.cumulative_per_iteration,
+        "payment_methods": {
+            market: [list(pair) for pair in pairs]
+            for market, pairs in result.payment_methods.items()
+        },
+        "simulated_seconds": result.simulated_seconds,
+    }
+
+
 def _telemetry_for(args: argparse.Namespace) -> Telemetry:
     """An enabled Telemetry when ``--telemetry-out`` was given, else no-op."""
     configure_logging(getattr(args, "log_level", "warning"))
@@ -370,18 +388,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     result.dataset.save(args.out)
     if result.quarantine is not None:
         result.quarantine.write_jsonl(args.out)
-    meta = {
-        "seed": args.seed,
-        "scale": args.scale,
-        "iterations": args.iterations,
-        "active_per_iteration": result.active_per_iteration,
-        "cumulative_per_iteration": result.cumulative_per_iteration,
-        "payment_methods": {
-            market: [list(pair) for pair in pairs]
-            for market, pairs in result.payment_methods.items()
-        },
-        "simulated_seconds": result.simulated_seconds,
-    }
+    meta = study_meta(config, result)
     store_report = None
     if getattr(args, "store_dir", None):
         # The segmented durable store.  The study's disk-fault injector
@@ -478,14 +485,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
     except ContractViolationError as exc:
         print(f"strict contracts: {exc}", file=sys.stderr)
         return 3
-    meta = {
-        "active_per_iteration": result.active_per_iteration,
-        "cumulative_per_iteration": result.cumulative_per_iteration,
-        "payment_methods": {
-            market: [list(pair) for pair in pairs]
-            for market, pairs in result.payment_methods.items()
-        },
-    }
+    meta = study_meta(config, result)
     try:
         # Reuse the supervised suite the study already ran (telemetry
         # path); otherwise run it here under a fresh supervisor.
@@ -624,32 +624,13 @@ def cmd_replay(args: argparse.Namespace) -> int:
     result.dataset.save(args.out)
     if result.quarantine is not None:
         result.quarantine.write_jsonl(args.out)
-    # The meta file mirrors cmd_run's byte for byte: same keys, same
-    # values, sourced from the archive manifest instead of the CLI args.
-    archive_config = ArchiveReader.open(args.archive_dir).config
-    meta = {
-        "seed": archive_config["seed"],
-        "scale": archive_config["scale"],
-        "iterations": archive_config["iterations"],
-        "active_per_iteration": result.active_per_iteration,
-        "cumulative_per_iteration": result.cumulative_per_iteration,
-        "payment_methods": {
-            market: [list(pair) for pair in pairs]
-            for market, pairs in result.payment_methods.items()
-        },
-        "simulated_seconds": result.simulated_seconds,
-    }
-    atomic_write_json(os.path.join(args.out, META_FILENAME), meta)
+    # The replayed Study ran on the archive manifest's config, so the
+    # meta file is the one the live run wrote.
+    config = result.config
+    atomic_write_json(os.path.join(args.out, META_FILENAME),
+                      study_meta(config, result))
     if result.scorecard is not None:
         write_scorecard(args.out, result.scorecard)
-    config = StudyConfig(
-        seed=archive_config["seed"],
-        scale=archive_config["scale"],
-        iterations=archive_config["iterations"],
-        include_underground=archive_config["include_underground"],
-        telemetry_enabled=telemetry.enabled,
-        archive_dir=args.archive_dir,
-    )
     _export_telemetry(args, config, result, telemetry)
     print(f"replayed {args.archive_dir} into {args.out}: "
           f"{result.dataset.summary()}")

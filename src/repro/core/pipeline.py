@@ -9,7 +9,14 @@ manual-protocol collector over the underground forums.
 
 Module 3 — *tracking and analysis* lives in :mod:`repro.analysis`; this
 module hands it a complete :class:`~repro.core.dataset.MeasurementDataset`
-plus the crawl artifacts (Figure-2 series, payment-method matrix).
+plus the crawl artifacts (Figure-2 series, payment-method matrix), and
+:meth:`Study.analyze` runs the supervised suite and the scorecard.
+
+:class:`Study` is the one driver of these phases.  It crawls whatever
+network it is handed: a :class:`LiveNetwork` (the synthetic Internet,
+optionally behind the fault injector and captured into an archive) by
+default, or an :class:`~repro.archive.replay.ArchiveNetwork` that serves
+a sealed archive back — so ``repro replay`` runs exactly this code.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from repro.marketplaces.deploy import (
     set_iteration,
 )
 from repro.marketplaces.registry import MARKETPLACES
+from repro.marketplaces.underground import onion_host
 from repro.obs.prof import StageProfiler
 from repro.obs.quality import Scorecard, compute_scorecard
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
@@ -117,6 +125,7 @@ class StudyResult:
 
     dataset: MeasurementDataset
     world: World  # ground truth, for validation only — analyses not using it
+    config: Optional[StudyConfig] = None  # what the study ran with
     #: Figure-2 series.
     active_per_iteration: List[int] = field(default_factory=list)
     cumulative_per_iteration: List[int] = field(default_factory=list)
@@ -150,13 +159,107 @@ class StudyResult:
     archive: Optional[dict] = None
 
 
+class LiveNetwork:
+    """The synthetic Internet a live study crawls: the sites, the fault
+    and disk injectors (``--chaos``) and the archive writer both clients
+    capture into (``--archive-dir``).  Replay hands :class:`Study` an
+    :class:`~repro.archive.replay.ArchiveNetwork` with the same surface."""
+
+    def __init__(self, config: StudyConfig, telemetry: Telemetry) -> None:
+        self._config = config
+        self._telemetry = telemetry
+        self._internet = Internet()
+        self.clock = self._internet.clock
+        self._internet.set_telemetry(telemetry)
+        # Chaos: interpose the fault injector between client and sites.
+        # Sites still register against the real Internet (the injector
+        # delegates); only the crawling client sees injected weather.
+        # Storage-plane chaos is independent of network chaos: the same
+        # profile may carry either or both sets of rates.
+        profile = resolve_profile(config.chaos_profile)
+        self.fault_injector: Optional[FaultInjector] = None
+        self.disk_faults: Optional[DiskFaultInjector] = None
+        if profile.active:
+            self.fault_injector = FaultInjector(
+                self._internet, profile, seed=config.seed, telemetry=telemetry,
+            )
+        if profile.disk_active:
+            self.disk_faults = DiskFaultInjector(
+                profile, seed=config.seed, telemetry=telemetry,
+            )
+        self.archive: Optional[ArchiveWriter] = None
+        self._platform_sites: dict = {}
+        self._market_sites: dict = {}
+
+    def deploy(self, world: World, rng: RngTree) -> None:
+        # Collection runs against the pre-ban state of the platforms;
+        # the Section-8 status sweep at the end sees enforcement.
+        self._platform_sites = deploy_platforms(
+            self._internet, world, enforce_moderation=False
+        )
+        self._market_sites = deploy_public_marketplaces(self._internet, world)
+        if self._config.include_underground:
+            deploy_underground(self._internet, world, rng.child("underground"))
+        if self._config.archive_dir:
+            self.archive = ArchiveWriter(
+                self._config.archive_dir, self.clock,
+                telemetry=self._telemetry, resume=self._config.resume,
+            )
+
+    def client(self, client_id: str, via_tor: bool = False) -> HttpClient:
+        delay = 0.0 if via_tor else self._config.per_host_delay_seconds
+        return HttpClient(
+            self._internet if self.fault_injector is None
+            else self.fault_injector,
+            ClientConfig(via_tor=via_tor, per_host_delay_seconds=delay),
+            client_id=client_id, telemetry=self._telemetry,
+            capture=self.archive,
+        )
+
+    def begin_iteration(self, iteration: int) -> None:
+        set_iteration(self._market_sites, iteration)
+        if self.fault_injector is not None:
+            self.fault_injector.begin_iteration(iteration)
+
+    def begin_post_collection(self) -> None:
+        if self.archive is not None:
+            # Everything after the iteration crawl (payments, profiles,
+            # sweep, underground) archives into one post-collection index.
+            self.archive.begin_phase(POST_COLLECTION_PHASE)
+        if self.fault_injector is not None:
+            self.fault_injector.begin_iteration(self._config.iterations)
+
+    def begin_sweep(self) -> None:
+        enable_moderation(self._platform_sites)
+
+    def expected_counts(self) -> Dict[str, int]:
+        return {
+            name: len(site.active_listings())
+            for name, site in self._market_sites.items()
+        }
+
+    def finish(self) -> Optional[dict]:
+        """Seal the archive (hash-chain the indexes, write archive.json)
+        and return its summary."""
+        if self.archive is None:
+            return None
+        with self._telemetry.tracer.span("archive_seal"), \
+                self._telemetry.profiler.phase("archive_seal"):
+            return self.archive.summary(self.archive.seal(self._config))
+
+
 class Study:
-    """Builds the world, deploys all sites, and runs modules 1 and 2."""
+    """Builds the world and runs modules 1 and 2 over a network: the live
+    synthetic Internet by default, or a sealed archive for replay."""
 
     def __init__(self, config: Optional[StudyConfig] = None,
-                 telemetry: Optional[Telemetry] = None) -> None:
+                 telemetry: Optional[Telemetry] = None,
+                 network=None) -> None:
         self.config = config or StudyConfig()
         self._rng = RngTree(self.config.seed, name="study")
+        #: What the clients crawl; None builds a :class:`LiveNetwork`
+        #: when the run starts.
+        self.network = network
         if telemetry is not None:
             self.telemetry = telemetry
         elif self.config.telemetry_enabled:
@@ -195,61 +298,20 @@ class Study:
     def _run_instrumented(self, telemetry: Telemetry) -> StudyResult:
         tracer = telemetry.tracer
         profiler = telemetry.profiler
-        internet = Internet()
-        telemetry.set_clock(internet.clock)
-        internet.set_telemetry(telemetry)
-
-        # Chaos: interpose the fault injector between client and sites.
-        # Sites still register against the real Internet (the injector
-        # delegates); only the crawling client sees injected weather.
-        fault_profile = resolve_profile(self.config.chaos_profile)
-        injector: Optional[FaultInjector] = None
-        network = internet
-        if fault_profile.active:
-            injector = FaultInjector(
-                internet, fault_profile,
-                seed=self.config.seed, telemetry=telemetry,
-            )
-            network = injector
-        # Storage-plane chaos is independent of network chaos: the same
-        # profile may carry either or both sets of rates.
-        disk_faults: Optional[DiskFaultInjector] = None
-        if fault_profile.disk_active:
-            disk_faults = DiskFaultInjector(
-                fault_profile, seed=self.config.seed, telemetry=telemetry,
-            )
+        network = self.network or LiveNetwork(self.config, telemetry)
+        telemetry.set_clock(network.clock)
 
         with tracer.span("build_world"), profiler.phase("build_world"):
             world = WorldBuilder(self.config.world_config()).build()
         with tracer.span("deploy"), profiler.phase("deploy"):
-            # Collection runs against the pre-ban state of the platforms;
-            # the Section-8 status sweep at the end sees enforcement.
-            platform_sites = deploy_platforms(
-                internet, world, enforce_moderation=False
-            )
-            market_sites = deploy_public_marketplaces(internet, world)
-            underground_sites = (
-                deploy_underground(internet, world, self._rng.child("underground"))
-                if self.config.include_underground
-                else {}
-            )
-
-        # Crawl archive: the capture hook both clients write through.
-        archive: Optional[ArchiveWriter] = None
-        if self.config.archive_dir:
-            archive = ArchiveWriter(
-                self.config.archive_dir,
-                internet.clock,
-                telemetry=telemetry,
-                resume=self.config.resume,
-            )
-
-        client = HttpClient(
-            network,
-            ClientConfig(per_host_delay_seconds=self.config.per_host_delay_seconds),
-            telemetry=telemetry,
-            capture=archive,
+            network.deploy(world, self._rng)
+        # The forums deploy_underground stands up, for either network.
+        markets = (
+            sorted({p.market for p in world.underground_postings})
+            if self.config.include_underground else []
         )
+
+        client = network.client("crawler")
         checkpoint_path: Optional[str] = None
         if self.config.checkpoint_dir:
             checkpoint_path = os.path.join(
@@ -259,28 +321,25 @@ class Study:
                 # A fresh (non-resume) run must not silently continue a
                 # previous crawl's state.
                 os.remove(checkpoint_path)
+        # Reset per-host transport state (breakers, retry budget,
+        # politeness) at every iteration boundary: iterations are days
+        # apart in simulated time, and a resumed run must enter
+        # iteration k with the same client state an uninterrupted run
+        # would have.
+        reset_epochs = network.fault_injector is not None or checkpoint_path
 
         def advance_iteration(iteration: int) -> None:
-            set_iteration(market_sites, iteration)
-            if injector is not None:
-                injector.begin_iteration(iteration)
-            if injector is not None or checkpoint_path:
-                # Reset per-host transport state (breakers, retry budget,
-                # politeness) at the iteration boundary: iterations are
-                # days apart in simulated time, and a resumed run must
-                # enter iteration k with the same client state an
-                # uninterrupted run would have.
+            network.begin_iteration(iteration)
+            if reset_epochs:
                 client.begin_epoch(iteration)
 
         watchdog: Optional[CrawlWatchdog] = None
-        if telemetry.enabled and self.config.watchdogs_enabled:
+        if (telemetry.enabled and self.config.watchdogs_enabled
+                and network.expected_counts is not None):
             watchdog = CrawlWatchdog(
                 telemetry=telemetry,
-                clock=internet.clock,
-                expected_counts=lambda: {
-                    name: len(site.active_listings())
-                    for name, site in market_sites.items()
-                },
+                clock=network.clock,
+                expected_counts=network.expected_counts,
             )
         crawl = IterationCrawl(
             client=client,
@@ -293,8 +352,8 @@ class Study:
             checkpoint_path=checkpoint_path,
             telemetry=telemetry,
             watchdog=watchdog,
-            archive=archive,
-            disk_faults=disk_faults,
+            archive=network.archive,
+            disk_faults=network.disk_faults,
         )
         with tracer.span("iteration_crawl"), profiler.phase("iteration_crawl"):
             dataset = crawl.run()
@@ -305,19 +364,14 @@ class Study:
         )
         if watchdog is not None:
             watchdog.finish()
-        if archive is not None:
-            # Everything after the iteration crawl (payments, profiles,
-            # sweep, underground) archives into one post-collection index.
-            archive.begin_phase(POST_COLLECTION_PHASE)
 
         # Post-crawl stages get their own fault epoch and fresh client
         # state.  Without this, a run resumed from an already-complete
         # checkpoint (which skips the crawl entirely) would enter the
         # payment/profile/underground stages with different RNG-stream
         # offsets than an uninterrupted run — and diverge.
-        if injector is not None:
-            injector.begin_iteration(self.config.iterations)
-        if injector is not None or checkpoint_path:
+        network.begin_post_collection()
+        if reset_epochs:
             client.begin_epoch(self.config.iterations)
 
         # Payment pages, once per marketplace (Table 3).
@@ -348,19 +402,13 @@ class Study:
 
         # End-of-study status sweep (Section 8): bans are now visible.
         with tracer.span("status_sweep"), profiler.phase("status_sweep"):
-            enable_moderation(platform_sites)
+            network.begin_sweep()
             collector.sweep_status(dataset.profiles)
         profiler.add_counts("status_sweep", records=len(dataset.profiles))
 
         # Underground manual-protocol collection.
-        if underground_sites:
-            tor_client = HttpClient(
-                network,
-                ClientConfig(via_tor=True, per_host_delay_seconds=0.0),
-                client_id="manual-analyst",
-                telemetry=telemetry,
-                capture=archive,
-            )
+        if markets:
+            tor_client = network.client("manual-analyst", via_tor=True)
             manual = UndergroundCollector(
                 client=tor_client,
                 solver=HumanSolver(self._rng.child("solver")),
@@ -368,21 +416,17 @@ class Study:
             )
             with tracer.span("underground_collection"), \
                     profiler.phase("underground_collection"):
-                for market, site in underground_sites.items():
+                for market in markets:
                     dataset.underground.extend(
-                        manual.collect_market(market, site.host)
+                        manual.collect_market(market, onion_host(market))
                     )
             profiler.add_counts(
                 "underground_collection", records=len(dataset.underground)
             )
             profiler.add_client("manual-analyst", tor_client.stats)
 
-        # Collection is over: seal the archive (hash-chain the indexes,
-        # GC unreferenced blobs, write archive.json).
-        archive_summary: Optional[dict] = None
-        if archive is not None:
-            with tracer.span("archive_seal"), profiler.phase("archive_seal"):
-                archive_summary = archive.summary(archive.seal(self.config))
+        # Collection is over (a live run seals its archive here).
+        archive_summary = network.finish()
 
         # Contract boundary: validate everything collection produced
         # before any analysis sees it.  Quarantined records leave the
@@ -407,40 +451,48 @@ class Study:
         result = StudyResult(
             dataset=dataset,
             world=world,
+            config=self.config,
             active_per_iteration=crawl.active_per_iteration,
             cumulative_per_iteration=crawl.cumulative_per_iteration,
             payment_methods=payments,
             crawl_reports=crawl.reports,
-            simulated_seconds=internet.clock.now(),
+            simulated_seconds=network.clock.now(),
             telemetry=telemetry,
             watchdog=watchdog,
-            fault_injector=injector,
-            disk_faults=disk_faults,
+            fault_injector=network.fault_injector,
+            disk_faults=network.disk_faults,
             contracts=contracts,
             quarantine=quarantine,
             archive=archive_summary,
         )
-        # Fidelity scorecard: run the supervised analysis suite, then
-        # score the collected dataset against the world's ground truth
-        # and the paper-shape targets (§quality).  A failed stage
-        # degrades its scorecard sections instead of killing the run.
         if telemetry.enabled and self.config.scorecard_enabled:
-            supervisor = StageSupervisor(
-                telemetry,
-                strict=self.config.strict_contracts,
-                fail_stages=self.config.fail_stages,
+            self.analyze(result)
+        return result
+
+    def analyze(self, result: StudyResult) -> StudyResult:
+        """Fidelity scorecard: run the supervised analysis suite, then
+        score the collected dataset against the world's ground truth and
+        the paper-shape targets (§quality).  A failed stage degrades its
+        scorecard sections instead of killing the run."""
+        telemetry = self.telemetry
+        tracer = telemetry.tracer
+        profiler = telemetry.profiler
+        supervisor = StageSupervisor(
+            telemetry,
+            strict=self.config.strict_contracts,
+            fail_stages=self.config.fail_stages,
+        )
+        with tracer.span("analysis_suite"), profiler.phase("analysis_suite"):
+            result.analyses = run_analysis_suite(
+                result.dataset, supervisor, telemetry=telemetry,
             )
-            with tracer.span("analysis_suite"), profiler.phase("analysis_suite"):
-                result.analyses = run_analysis_suite(
-                    dataset, supervisor, telemetry=telemetry,
-                )
-            result.stage_failures = list(supervisor.failures)
-            with tracer.span("scorecard"), profiler.phase("scorecard"):
-                result.scorecard = compute_scorecard(
-                    result, analyses=result.analyses,
-                )
-            result.scorecard.register_gauges(telemetry.metrics)
+        result.stage_failures = list(supervisor.failures)
+        with tracer.span("scorecard"), profiler.phase("scorecard"):
+            result.scorecard = compute_scorecard(
+                result, analyses=result.analyses,
+            )
+        result.scorecard.register_gauges(telemetry.metrics)
         return result
 
 
-__all__ = ["Study", "StudyConfig", "StudyResult"]
+__all__ = ["LiveNetwork", "Study", "StudyConfig", "StudyResult"]

@@ -31,7 +31,7 @@ import os
 import platform
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.manifest import git_describe
 from repro.obs.prof import StageProfiler
@@ -67,8 +67,14 @@ def default_rounds() -> int:
         return DEFAULT_ROUNDS
 
 
+#: Fingerprint fields that change what a wall time means.  ``platform``
+#: (kernel build) and ``git`` (the code under test) are left out.
+COMPARED_ENV_FIELDS = ("python", "implementation", "machine", "cpu_count")
+
+
 def env_fingerprint() -> dict:
-    """Where a bench result came from (never compared, always recorded)."""
+    """Where a bench result came from.  :func:`compare_bench` flags a
+    baseline whose :data:`COMPARED_ENV_FIELDS` differ."""
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
@@ -261,6 +267,9 @@ class BenchComparison:
     baseline_path: str
     tolerance: float
     drifts: List[MetricDrift] = field(default_factory=list)
+    #: (field, baseline value, current value) per differing
+    #: :data:`COMPARED_ENV_FIELDS` entry.
+    env_changes: List[Tuple[str, object, object]] = field(default_factory=list)
 
     @property
     def regressed(self) -> bool:
@@ -273,10 +282,16 @@ class BenchComparison:
         return counts
 
     def render_text(self) -> str:
-        out = [
+        out = []
+        if self.env_changes:
+            changes = ", ".join(f"{name} {before} -> {after}"
+                                for name, before, after in self.env_changes)
+            out.append(f"environment differs from baseline: {changes}; "
+                       "wall-time verdicts compare machines, not code")
+        out.append(
             f"bench compare vs {self.baseline_path} "
             f"(tolerance {self.tolerance:.0%})"
-        ]
+        )
         out.extend(drift.render() for drift in self.drifts)
         counts = self.verdicts()
         out.append(
@@ -312,6 +327,13 @@ def compare_bench(baseline: dict, current: dict,
         )
     comparison = BenchComparison(baseline_path=baseline_path,
                                  tolerance=tolerance)
+    base_env = baseline.get("env") or {}
+    cur_env = current.get("env") or {}
+    comparison.env_changes = [
+        (name, base_env.get(name), cur_env.get(name))
+        for name in COMPARED_ENV_FIELDS
+        if base_env.get(name) != cur_env.get(name)
+    ]
     base_totals = baseline.get("totals") or {}
     cur_totals = current.get("totals") or {}
 
@@ -361,6 +383,7 @@ __all__ = [
     "BENCH_FILENAME",
     "BENCH_SCHEMA",
     "BenchComparison",
+    "COMPARED_ENV_FIELDS",
     "BenchError",
     "DEFAULT_ROUNDS",
     "DEFAULT_TOLERANCE",

@@ -155,6 +155,59 @@ class TestCompare:
         assert "regressed," in text
 
 
+class TestForeignBaseline:
+    """A baseline from another environment is flagged, not refused."""
+
+    @staticmethod
+    def _foreign(bench: dict) -> dict:
+        other = copy.deepcopy(bench)
+        cpus = other["env"]["cpu_count"] or 1
+        other["env"]["cpu_count"] = cpus + 1
+        # Kernel build and commit are expected to differ between runs.
+        other["env"]["platform"] = "Some-other-kernel"
+        other["env"]["git"] = "0000000"
+        return other
+
+    def test_same_environment_has_no_env_line(self, bench_result):
+        comparison = compare_bench(bench_result, bench_result)
+        assert comparison.env_changes == []
+        assert comparison.render_text().startswith("bench compare vs ")
+
+    def test_differing_fields_are_recorded(self, bench_result):
+        baseline = self._foreign(bench_result)
+        baseline["env"]["python"] = "2.7.18"
+        comparison = compare_bench(baseline, bench_result)
+        cpus = bench_result["env"]["cpu_count"]
+        assert comparison.env_changes == [
+            ("python", "2.7.18", bench_result["env"]["python"]),
+            ("cpu_count", (cpus or 1) + 1, cpus),
+        ]
+
+    def test_render_text_opens_with_the_env_line(self, bench_result):
+        baseline = self._foreign(bench_result)
+        cpus = bench_result["env"]["cpu_count"]
+        first = compare_bench(baseline, bench_result).render_text()
+        assert first.splitlines()[0] == (
+            f"environment differs from baseline: cpu_count "
+            f"{(cpus or 1) + 1} -> {cpus}; wall-time verdicts compare "
+            "machines, not code"
+        )
+
+    def test_verdicts_and_exit_codes_unchanged(self, bench_result,
+                                               monkeypatch, tmp_path,
+                                               capsys):
+        monkeypatch.setattr(cli, "run_bench",
+                            lambda **kwargs: copy.deepcopy(bench_result))
+        same = str(tmp_path / "same.json")
+        write_bench(same, self._foreign(bench_result))
+        assert cli.main(["bench", "--compare", same]) == 0
+        assert capsys.readouterr().out.startswith(
+            "environment differs from baseline: cpu_count")
+        slow = str(tmp_path / "slow.json")
+        write_bench(slow, self._foreign(_doctored(bench_result, 1 / 3)))
+        assert cli.main(["bench", "--compare", slow]) == 1
+
+
 class TestBenchCli:
     @pytest.fixture()
     def canned_bench(self, bench_result, monkeypatch):
