@@ -3,7 +3,7 @@
 
 The workflow of a deployed measurement: run the multi-iteration crawl
 with a checkpoint (so a crash resumes instead of restarting), persist
-the dataset as JSON-lines, reload it for analysis, and score every
+the dataset as a segmented store, reload it for analysis, and score every
 profile with the Section-9 proactive-detection indicators — comparing
 what the indicators would catch against what the platforms actually
 actioned (Table 8).
@@ -15,6 +15,7 @@ Usage::
 
 import argparse
 import os
+import shutil
 
 from repro import MeasurementDataset, StudyConfig
 from repro.analysis import EfficacyAnalysis, NetworkAnalysis
@@ -26,6 +27,7 @@ from repro.crawler.profile_collector import ProfileCollector
 from repro.marketplaces.deploy import deploy_public_marketplaces, set_iteration
 from repro.marketplaces.registry import MARKETPLACES
 from repro.platforms.deploy import deploy_platforms, enable_moderation
+from repro.store import load_dataset, save_dataset
 from repro.synthetic import WorldBuilder
 from repro.web.client import ClientConfig, HttpClient
 from repro.web.server import Internet
@@ -64,24 +66,27 @@ def run_checkpointed_crawl(config: StudyConfig, workdir: str) -> MeasurementData
     return dataset
 
 
-def main() -> None:
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scale", type=float, default=0.04)
     parser.add_argument("--seed", type=int, default=424)
     parser.add_argument("--iterations", type=int, default=6)
     parser.add_argument("--workdir", default="runs/ops")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     os.makedirs(args.workdir, exist_ok=True)
 
     config = StudyConfig(seed=args.seed, scale=args.scale,
                          iterations=args.iterations, include_underground=False)
     dataset = run_checkpointed_crawl(config, args.workdir)
 
+    # A store directory is write-once; this script owns <workdir>/dataset,
+    # so a re-run replaces the previous run's store.
     data_dir = os.path.join(args.workdir, "dataset")
-    dataset.save(data_dir)
+    shutil.rmtree(data_dir, ignore_errors=True)
+    save_dataset(dataset, data_dir)
     print(f"Saved {dataset.summary()} to {data_dir}")
 
-    reloaded = MeasurementDataset.load(data_dir)
+    reloaded = load_dataset(data_dir)
     assert reloaded.summary() == dataset.summary()
     print("Reload check passed.")
 

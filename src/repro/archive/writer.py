@@ -462,8 +462,7 @@ class ArchiveWriter:
         self.sealed = True
         self._m_dedup.set(round(dedup_ratio, 6))
         self.telemetry.events.emit(
-            "archive.sealed",
-            dir=self.root,
+            "archive.sealed", level="info",
             blobs=blobs_total,
             bytes=bytes_total,
             exchanges=exchanges_total,

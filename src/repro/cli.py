@@ -4,9 +4,11 @@ Commands
 --------
 ``run``
     Execute the full study (crawl, profile collection, underground) and
-    persist the dataset plus run metadata to a directory.
+    persist the dataset as a crash-safe segmented store, plus run
+    metadata, to a write-once directory.
 ``report``
-    Load a saved run and render every paper table/figure.
+    Load a saved run (``run --out`` or ``replay --out``) and render
+    every paper table/figure.
 ``tables``
     One-shot: run a study and print the report without saving.
 ``channels``
@@ -35,7 +37,7 @@ Commands
 ``archive verify``
     Re-hash every index and blob in an archive; exit 2 on corruption.
 ``data verify|stats``
-    Inspect the crash-safe segmented dataset store (``run --store-dir``):
+    Inspect the dataset store a saved run holds (``run --out``):
     ``verify`` re-hashes every sealed segment against its footer and the
     manifest and exits 2 on any mismatch; ``stats`` prints record
     counts, segment totals, and degradation markers.
@@ -49,10 +51,10 @@ Commands
     ``alerts`` exits 1 when any rule fires, writing ``alerts.json`` with
     ``--out``.
 ``serve build|query|bench``
-    The serving layer: ``build`` ingests one or more run directories
-    (flat or segmented-store layout) into a read-optimized SQLite
-    catalog with a deterministic ``catalog.json`` manifest (idempotent:
-    unchanged sources are a no-op); ``query`` issues one HTTP request
+    The serving layer: ``build`` ingests one or more saved run
+    directories into a read-optimized SQLite catalog with a
+    deterministic ``catalog.json`` manifest (idempotent: unchanged
+    sources are a no-op); ``query`` issues one HTTP request
     against the catalog API and prints the JSON body (exit 1 on an HTTP
     error status, 2 on a missing/corrupt catalog); ``bench`` drives
     thousands of seeded simulated clients through the API and reports
@@ -71,6 +73,8 @@ Commands
 Telemetry-reading commands (``trace``/``diff``/``health``) exit with
 code 2 when a directory is missing, empty, or corrupt; so do ``replay``
 and ``archive`` when the archive is missing, unsealed, or corrupt.
+``run`` and ``replay`` refuse an ``--out`` that already holds a store
+(exit 1, directory untouched).
 ``run`` itself traps SIGTERM/SIGINT: the partial dataset state is left
 on disk with a ``"partial": "interrupted"`` marker in its meta file and
 the exit code is 130.
@@ -83,7 +87,7 @@ import json
 import os
 import signal
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.analysis import MarketplaceAnatomy
 from repro.archive import (
@@ -156,8 +160,9 @@ from repro.serve import (
 from repro.store import (
     StoreError,
     StoreReader,
-    is_store_dir,
+    StoreSaveReport,
     load_dataset,
+    refuse_existing_store,
     save_dataset,
 )
 from repro.util.fileio import atomic_write_json
@@ -332,11 +337,61 @@ def _check_profile_args(args: argparse.Namespace) -> Optional[str]:
     return None
 
 
+def _refuse_used_out_dir(out_dir: str) -> bool:
+    """``--out`` is a write-once store directory: True (after printing
+    why) when it already holds a store, checked before any work so the
+    refused directory is left untouched."""
+    try:
+        refuse_existing_store(out_dir)
+    except StoreError as exc:
+        print(f"store save refused: {exc}", file=sys.stderr)
+        return True
+    return False
+
+
+def _save_run_dir(out_dir: str, result, meta: dict,
+                  telemetry: Telemetry) -> Optional[StoreSaveReport]:
+    """Write a finished study into ``out_dir``: the dataset as a
+    segmented store, with ``quarantine.jsonl`` and ``study_meta.json``
+    beside its manifest.
+
+    The study's disk-fault injector (if chaos is on) carries over, so an
+    ENOSPC byte budget spans checkpoints and this save — one disk, one
+    budget.  A full disk is graceful degradation: the flushed prefix is
+    sealed, the run is marked partial, and the exit stays 0 — losing
+    tail records beats losing the run.  Returns None (exit 1) when the
+    save failed outright.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    if result.quarantine is not None:
+        result.quarantine.write_jsonl(out_dir)
+    meta_path = os.path.join(out_dir, META_FILENAME)
+    try:
+        report = save_dataset(result.dataset, out_dir,
+                              faults=result.disk_faults, telemetry=telemetry)
+    except DiskWriteError as exc:
+        print(f"store save failed: {exc}", file=sys.stderr)
+        atomic_write_json(meta_path, dict(meta, partial="disk_error"))
+        return None
+    if report.partial:
+        meta["partial"] = report.partial
+        print(
+            f"disk full while saving the store: flushed {report.counts}, "
+            f"dropped {sum(report.dropped.values())} record(s); "
+            f"run marked partial:{report.partial}",
+            file=sys.stderr,
+        )
+    atomic_write_json(meta_path, meta)
+    return report
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     problem = _check_profile_args(args)
     if problem:
         print(problem, file=sys.stderr)
         return 2
+    if _refuse_used_out_dir(args.out):
+        return 1
     config = _study_config(args)
     telemetry = _telemetry_for(args)
 
@@ -384,91 +439,50 @@ def cmd_run(args: argparse.Namespace) -> int:
     finally:
         for signum, handler in previous_handlers.items():
             signal.signal(signum, handler)
-    os.makedirs(args.out, exist_ok=True)
-    result.dataset.save(args.out)
-    if result.quarantine is not None:
-        result.quarantine.write_jsonl(args.out)
-    meta = study_meta(config, result)
-    store_report = None
-    if getattr(args, "store_dir", None):
-        # The segmented durable store.  The study's disk-fault injector
-        # (if chaos is on) carries over, so an ENOSPC byte budget spans
-        # checkpoints and this save — one disk, one budget.  A full disk
-        # is graceful degradation: the flushed prefix is sealed, the
-        # run is marked partial, and the exit stays 0 — losing tail
-        # records beats losing the run.
-        try:
-            store_report = save_dataset(
-                result.dataset, args.store_dir,
-                faults=result.disk_faults, telemetry=telemetry,
-            )
-        except StoreError as exc:
-            # e.g. the directory already holds a previous run's store;
-            # appending to it would cross-contaminate the two runs.
-            print(f"store save refused: {exc}", file=sys.stderr)
-            atomic_write_json(os.path.join(args.out, META_FILENAME),
-                              dict(meta, partial="store_refused"))
-            return 1
-        except DiskWriteError as exc:
-            print(f"store save failed: {exc}", file=sys.stderr)
-            atomic_write_json(os.path.join(args.out, META_FILENAME),
-                              dict(meta, partial="disk_error"))
-            return 1
-        if store_report.partial:
-            meta["partial"] = store_report.partial
-            dropped = sum(store_report.dropped.values())
-            print(
-                f"disk full while saving the store: flushed "
-                f"{store_report.counts}, dropped {dropped} record(s); "
-                f"run marked partial:{store_report.partial}",
-                file=sys.stderr,
-            )
-    atomic_write_json(os.path.join(args.out, META_FILENAME), meta)
-    if store_report is not None:
-        # Mirror the meta beside the manifest so the store dir is a
-        # self-describing run artifact: report/figures take the
-        # payment-methods and per-iteration series from meta, not from
-        # the record streams.
-        atomic_write_json(
-            os.path.join(args.store_dir, META_FILENAME), meta
-        )
+    report = _save_run_dir(args.out, result, study_meta(config, result),
+                           telemetry)
+    if report is None:
+        return 1
     _export_telemetry(args, config, result, telemetry)
-    print(f"saved run to {args.out}: {result.dataset.summary()}")
-    if store_report is not None:
-        print(f"store written to {args.store_dir}: {store_report.counts}")
+    print(f"saved run to {args.out}: {report.counts}")
     return 0
 
 
-def _load_run_dataset(run_dir: str,
-                      quarantine: Optional[QuarantineStore] = None
-                      ) -> MeasurementDataset:
-    """Load a saved run from either layout: a segmented store
-    (``run --store-dir``) or flat per-type JSONL files."""
-    if is_store_dir(run_dir):
-        return load_dataset(run_dir, quarantine=quarantine)
-    return MeasurementDataset.load(run_dir, quarantine=quarantine)
-
-
-def cmd_report(args: argparse.Namespace) -> int:
-    # Tolerant load: corrupt JSONL lines (e.g. a truncated final line
-    # after a SIGKILL) are quarantined and reported, not fatal.
-    store = QuarantineStore()
-    dataset = _load_run_dataset(args.run_dir, quarantine=store)
-    if store.total:
-        print(
-            f"warning: skipped {store.total} corrupt dataset line(s): "
-            + ", ".join(f"{k}={v}" for k, v in store.counts_by_rule().items()),
-            file=sys.stderr,
-        )
-    meta_path = os.path.join(args.run_dir, META_FILENAME)
-    meta = None
+def _load_run_dir(run_dir: str, quarantine: Optional[QuarantineStore] = None
+                  ) -> Tuple[Optional[MeasurementDataset], dict]:
+    """The dataset and ``study_meta.json`` of a saved run, or ``(None,
+    {})`` after printing why there is no dataset to render (exit 1)."""
+    try:
+        dataset = load_dataset(run_dir, quarantine=quarantine)
+    except StoreError as exc:
+        print(f"no dataset found in {run_dir}: {exc}", file=sys.stderr)
+        return None, {}
+    if not dataset.listings:
+        print(f"no dataset found in {run_dir}", file=sys.stderr)
+        return None, {}
+    meta_path = os.path.join(run_dir, META_FILENAME)
+    meta = {}
     if os.path.exists(meta_path):
         with open(meta_path, "r", encoding="utf-8") as handle:
             meta = json.load(handle)
-    scale = args.scale if args.scale is not None else (meta or {}).get("scale", 1.0)
-    if not dataset.listings:
-        print(f"no dataset found in {args.run_dir}", file=sys.stderr)
+    return dataset, meta
+
+
+def cmd_report(args: argparse.Namespace) -> int:
+    # Tolerant load: corrupt store segments and lines are quarantined
+    # and reported, not fatal.
+    store = QuarantineStore()
+    dataset, meta = _load_run_dir(args.run_dir, quarantine=store)
+    if store.total:
+        print(
+            f"warning: skipped {store.total} corrupt store segment(s) "
+            f"or line(s): "
+            + ", ".join(f"{k}={v}" for k, v in store.counts_by_rule().items()),
+            file=sys.stderr,
+        )
+    if dataset is None:
         return 1
+    scale = args.scale if args.scale is not None else meta.get("scale", 1.0)
     _render_all(dataset, scale, meta)
     return 0
 
@@ -593,15 +607,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_figures(args: argparse.Namespace) -> int:
     from repro.core.export import export_figures
 
-    dataset = _load_run_dataset(args.run_dir)
-    if not dataset.listings:
-        print(f"no dataset found in {args.run_dir}", file=sys.stderr)
+    dataset, meta = _load_run_dir(args.run_dir)
+    if dataset is None:
         return 1
-    meta_path = os.path.join(args.run_dir, META_FILENAME)
-    meta = {}
-    if os.path.exists(meta_path):
-        with open(meta_path, "r", encoding="utf-8") as handle:
-            meta = json.load(handle)
     written = export_figures(
         dataset,
         args.out,
@@ -614,26 +622,25 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
+    if _refuse_used_out_dir(args.out):
+        return 1
     telemetry = _telemetry_for(args)
     try:
         result = run_replay(args.archive_dir, telemetry=telemetry)
     except (ArchiveError, ReplayError) as exc:
         print(f"replay failed: {exc}", file=sys.stderr)
         return 2
-    os.makedirs(args.out, exist_ok=True)
-    result.dataset.save(args.out)
-    if result.quarantine is not None:
-        result.quarantine.write_jsonl(args.out)
     # The replayed Study ran on the archive manifest's config, so the
     # meta file is the one the live run wrote.
     config = result.config
-    atomic_write_json(os.path.join(args.out, META_FILENAME),
-                      study_meta(config, result))
+    report = _save_run_dir(args.out, result, study_meta(config, result),
+                           telemetry)
+    if report is None:
+        return 1
     if result.scorecard is not None:
         write_scorecard(args.out, result.scorecard)
     _export_telemetry(args, config, result, telemetry)
-    print(f"replayed {args.archive_dir} into {args.out}: "
-          f"{result.dataset.summary()}")
+    print(f"replayed {args.archive_dir} into {args.out}: {report.counts}")
     return 0
 
 
@@ -791,10 +798,6 @@ def cmd_runs_alerts(args: argparse.Namespace) -> int:
 
 
 def cmd_data_verify(args: argparse.Namespace) -> int:
-    if not is_store_dir(args.store_dir):
-        print(f"{args.store_dir} is not a segmented dataset store",
-              file=sys.stderr)
-        return 2
     try:
         reader = StoreReader.open(args.store_dir)
         problems = reader.verify()
@@ -827,10 +830,6 @@ def cmd_data_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_data_stats(args: argparse.Namespace) -> int:
-    if not is_store_dir(args.store_dir):
-        print(f"{args.store_dir} is not a segmented dataset store",
-              file=sys.stderr)
-        return 2
     try:
         reader = StoreReader.open(args.store_dir)
         counts = reader.counts()
@@ -1009,7 +1008,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = commands.add_parser("run", help="run a study and save the dataset")
     _add_study_args(run_parser)
-    run_parser.add_argument("--out", required=True, help="output directory")
+    run_parser.add_argument("--out", required=True,
+                            help="write-once output directory: the dataset "
+                                 "as a segmented store (verify with 'repro "
+                                 "data verify DIR') plus study_meta.json "
+                                 "and quarantine.jsonl")
     run_parser.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                             help="persist crawl state here after every "
                                  "iteration (enables --resume)")
@@ -1021,13 +1024,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="archive every HTTP exchange into a "
                                  "content-addressed store here; replay "
                                  "later with 'repro replay DIR'")
-    run_parser.add_argument("--store-dir", default=None, metavar="DIR",
-                            help="also persist the dataset as a crash-safe "
-                                 "segmented store here (checksummed "
-                                 "segments + sealed manifest; verify with "
-                                 "'repro data verify DIR'); must not "
-                                 "already hold a store — each run gets a "
-                                 "fresh directory")
     run_parser.set_defaults(handler=cmd_run)
 
     report_parser = commands.add_parser("report", help="render tables from a saved run")
@@ -1134,8 +1130,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     data_parser = commands.add_parser(
         "data",
-        help="inspect or verify a segmented dataset store "
-             "(run --store-dir)",
+        help="inspect or verify a saved dataset store (run --out)",
     )
     data_commands = data_parser.add_subparsers(dest="data_command",
                                                required=True)
@@ -1167,7 +1162,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sbuild_parser.add_argument("run_dirs", nargs="+", metavar="RUN_DIR",
                                help="saved runs ('run --out' or "
-                                    "'run --store-dir' layout)")
+                                    "'replay --out' directories)")
     sbuild_parser.add_argument("--out", required=True, metavar="DIR",
                                help="the catalog directory")
     sbuild_parser.set_defaults(handler=cmd_serve_build)
@@ -1343,8 +1338,8 @@ def build_parser() -> argparse.ArgumentParser:
     replay_parser.add_argument("archive_dir",
                                help="directory written by run --archive-dir")
     replay_parser.add_argument("--out", required=True,
-                               help="output directory (same layout as "
-                                    "'run --out')")
+                               help="write-once output directory, "
+                                    "the same store layout as 'run --out'")
     replay_parser.add_argument("--telemetry-out", default=None, metavar="DIR",
                                help="record and export replay telemetry here")
     replay_parser.add_argument("--log-level", default="warning",

@@ -23,7 +23,6 @@ QUARANTINE_FILENAME = "quarantine.jsonl"
 
 #: ``source`` values: where in the pipeline the record was rejected.
 SOURCE_VALIDATION = "validation"  # record-contract layer
-SOURCE_JSONL_LOAD = "jsonl_load"  # dataset loader (undecodable line)
 
 
 class ContractViolationError(RuntimeError):
@@ -166,6 +165,5 @@ __all__ = [
     "QUARANTINE_FILENAME",
     "QuarantineStore",
     "QuarantinedRecord",
-    "SOURCE_JSONL_LOAD",
     "SOURCE_VALIDATION",
 ]

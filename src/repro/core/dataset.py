@@ -2,21 +2,18 @@
 
 These are deliberately distinct from :mod:`repro.synthetic.model`: the
 pipeline only knows what it extracted from HTML and API payloads.  All
-records are JSON-serializable dataclasses; :class:`MeasurementDataset`
-persists to/loads from a JSON-lines directory so long crawls can be
-checkpointed and analyses re-run offline — the workflow the paper's
-"share the data on request" model implies.
+records are JSON-serializable dataclasses; a :class:`MeasurementDataset`
+persists to and loads from a segmented store directory
+(:func:`repro.store.save_dataset` / :func:`repro.store.load_dataset`),
+so analyses can be re-run offline — the workflow the paper's "share
+the data on request" model implies.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
-
-from repro.util.fileio import atomic_write_lines
 
 #: Provenance value of a record with no degradation flags.
 PROVENANCE_COMPLETE = "complete"
@@ -226,65 +223,6 @@ class MeasurementDataset:
         fingerprint cannot see (interior swap, edited ``profile_url``)."""
         self.__dict__.pop("_profile_index", None)
 
-    # -- persistence -----------------------------------------------------------
-
-    def save(self, directory: str) -> None:
-        """Write the dataset as one JSON-lines file per record type.
-
-        Each file is written atomically (temp file + rename), so a
-        crash mid-save leaves the previous complete file — or no file —
-        never a torn one that :meth:`load` would have to quarantine.
-        """
-        os.makedirs(directory, exist_ok=True)
-        for name in _RECORD_TYPES:
-            records = getattr(self, name)
-            path = os.path.join(directory, f"{name}.jsonl")
-            atomic_write_lines(
-                path,
-                (json.dumps(dataclasses.asdict(record))
-                 for record in records),
-            )
-
-    @classmethod
-    def load(cls, directory: str,
-             quarantine=None) -> "MeasurementDataset":
-        """Load a dataset previously written by :meth:`save`.
-
-        Corrupt lines — a truncated final line after a SIGKILL, or a
-        payload that no longer matches the record shape — are skipped,
-        not fatal.  When a :class:`repro.contracts.QuarantineStore` is
-        passed as ``quarantine`` each skipped line is dead-lettered
-        there with a machine-readable rule (``jsonl_decode_error`` /
-        ``record_shape_error``); without one they are silently dropped.
-        """
-        dataset = cls()
-        for name, record_type in _RECORD_TYPES.items():
-            path = os.path.join(directory, f"{name}.jsonl")
-            if not os.path.exists(path):
-                continue
-            records = getattr(dataset, name)
-            with open(path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        payload = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        _quarantine_line(
-                            quarantine, name, "jsonl_decode_error",
-                            str(exc), line,
-                        )
-                        continue
-                    try:
-                        records.append(record_from_dict(record_type, payload))
-                    except TypeError as exc:
-                        _quarantine_line(
-                            quarantine, name, "record_shape_error",
-                            str(exc), line,
-                        )
-        return dataset
-
     def merge(self, other: "MeasurementDataset") -> None:
         """Append all records from ``other`` (no deduplication)."""
         for name in _RECORD_TYPES:
@@ -307,18 +245,6 @@ def record_from_dict(record_type, payload: dict):
         )
     known = {f.name for f in dataclasses.fields(record_type)}
     return record_type(**{k: v for k, v in payload.items() if k in known})
-
-
-def _quarantine_line(quarantine, record_type: str, rule: str,
-                     reason: str, line: str) -> None:
-    if quarantine is None:
-        return
-    # Deferred import: contracts imports this module.
-    from repro.contracts.quarantine import SOURCE_JSONL_LOAD
-
-    quarantine.quarantine(
-        record_type, rule, reason, raw=line[:500], source=SOURCE_JSONL_LOAD,
-    )
 
 
 def dedup_by(records: Iterable, key) -> List:

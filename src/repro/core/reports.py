@@ -75,9 +75,14 @@ def render_table2(report: AnatomyReport, scale: float) -> str:
 
 
 def render_table3(payment_matrix: Dict[str, Dict[str, List[str]]]) -> str:
+    """Rows in marketplace-registry order, whatever order the matrix
+    arrives in (a reloaded ``study_meta.json`` has sorted keys)."""
     rows = []
-    for market, groups in payment_matrix.items():
-        expected = {m for _g, m in cal.PAYMENT_METHODS[market] if m != "Unknown"}
+    for market, paper_methods in cal.PAYMENT_METHODS.items():
+        groups = payment_matrix.get(market)
+        if groups is None:
+            continue
+        expected = {m for _g, m in paper_methods if m != "Unknown"}
         found = {m for ms in groups.values() for m in ms if m != "Unknown"}
         rows.append(
             (

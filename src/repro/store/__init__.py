@@ -17,7 +17,6 @@ reloads exactly the flushed prefix.
 
 from repro.store.dataset_store import (
     StoreSaveReport,
-    is_store_dir,
     load_dataset,
     save_dataset,
 )
@@ -29,6 +28,7 @@ from repro.store.segments import (
     StoreError,
     StoreReader,
     StoreWriter,
+    refuse_existing_store,
 )
 
 __all__ = [
@@ -40,7 +40,7 @@ __all__ = [
     "StoreReader",
     "StoreSaveReport",
     "StoreWriter",
-    "is_store_dir",
     "load_dataset",
+    "refuse_existing_store",
     "save_dataset",
 ]

@@ -6,17 +6,17 @@ record at a time — never holding serialized output in RAM — and
 degrades gracefully when the disk fills: whatever records fit are
 flushed and sealed, the manifest carries ``partial: "disk_full"``, and
 the report says exactly how far the save got.  :func:`load_dataset`
-rebuilds a dataset through the same tolerant
-:func:`~repro.core.dataset.record_from_dict` path the flat-file loader
-uses, so schema-drifted or corrupt records quarantine instead of
-crashing.  :func:`is_store_dir` lets CLI consumers accept either
-layout (flat ``*.jsonl`` files or a segmented store) transparently.
+rebuilds a dataset through the tolerant
+:func:`~repro.core.dataset.record_from_dict` path, so schema-drifted or
+corrupt records quarantine instead of crashing.  A store directory is
+the one on-disk dataset format: ``repro run --out`` and ``repro replay
+--out`` write it, and every reader goes through :func:`load_dataset`
+or :class:`~repro.store.segments.StoreReader`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Tuple
 
@@ -29,25 +29,13 @@ from repro.faults.disk import DiskFullError
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.store.segments import (
     DEFAULT_SEGMENT_RECORDS,
-    SEGMENTS_DIRNAME,
-    STORE_MANIFEST_FILENAME,
     StoreReader,
     StoreWriter,
 )
 
 #: Quarantine rule for a stored payload that no longer matches the
-#: record dataclass shape (mirrors the flat loader's
-#: ``record_shape_error``).
+#: record dataclass shape.
 RULE_RECORD_SHAPE = "store_record_shape_error"
-
-
-def is_store_dir(directory: str) -> bool:
-    """True when ``directory`` holds a segmented store (manifest or a
-    ``segments/`` directory), as opposed to flat ``*.jsonl`` files."""
-    return (
-        os.path.exists(os.path.join(directory, STORE_MANIFEST_FILENAME))
-        or os.path.isdir(os.path.join(directory, SEGMENTS_DIRNAME))
-    )
 
 
 @dataclass
@@ -133,9 +121,10 @@ def load_dataset(directory: str, quarantine=None,
 
     Unknown record types in the store are ignored (forward
     compatibility); payloads that fail dataclass construction are
-    quarantined under ``store_record_shape_error`` and skipped, the
-    same containment contract the flat loader honors.  Torn tails and
-    corrupt segments are handled inside :class:`StoreReader`.
+    quarantined under ``store_record_shape_error`` and skipped.  Torn
+    tails and corrupt segments are handled inside :class:`StoreReader`;
+    a missing directory or one holding no store raises
+    :class:`~repro.store.segments.StoreError`.
     """
     reader = StoreReader.open(
         directory, quarantine=quarantine, telemetry=telemetry,
@@ -162,7 +151,6 @@ def load_dataset(directory: str, quarantine=None,
 __all__ = [
     "RULE_RECORD_SHAPE",
     "StoreSaveReport",
-    "is_store_dir",
     "load_dataset",
     "save_dataset",
 ]

@@ -131,17 +131,26 @@ class _OpenSegment:
         self.hasher = hashlib.sha256()
 
 
-def _existing_store_artifact(directory: str,
-                             segments_dir: str) -> Optional[str]:
-    """The first store artifact already present in ``directory``
-    (manifest or segment file), or None when the directory is fresh."""
+def refuse_existing_store(directory: str) -> None:
+    """Raise :class:`StoreError` when ``directory`` already holds a
+    store artifact (manifest or segment file); a fresh or missing
+    directory passes.  The write-once rule of :class:`StoreWriter`,
+    callable before any work that would end in a refused save."""
+    artifact = None
+    segments_dir = os.path.join(directory, SEGMENTS_DIRNAME)
     if os.path.exists(os.path.join(directory, STORE_MANIFEST_FILENAME)):
-        return STORE_MANIFEST_FILENAME
-    if os.path.isdir(segments_dir):
+        artifact = STORE_MANIFEST_FILENAME
+    elif os.path.isdir(segments_dir):
         for name in sorted(os.listdir(segments_dir)):
             if name.endswith(SEGMENT_SUFFIX):
-                return os.path.join(SEGMENTS_DIRNAME, name)
-    return None
+                artifact = os.path.join(SEGMENTS_DIRNAME, name)
+                break
+    if artifact is not None:
+        raise StoreError(
+            f"{directory} already holds a store ({artifact}); "
+            f"appending would corrupt it — use a fresh directory "
+            f"or delete the old store first"
+        )
 
 
 class StoreWriter:
@@ -165,15 +174,9 @@ class StoreWriter:
                  telemetry: Optional[Telemetry] = None) -> None:
         if segment_max_records < 1:
             raise ValueError("segment_max_records must be >= 1")
+        refuse_existing_store(directory)
         self.directory = directory
         self.segments_dir = os.path.join(directory, SEGMENTS_DIRNAME)
-        artifact = _existing_store_artifact(directory, self.segments_dir)
-        if artifact is not None:
-            raise StoreError(
-                f"{directory} already holds a store ({artifact}); "
-                f"appending would corrupt it — use a fresh directory "
-                f"or delete the old store first"
-            )
         os.makedirs(self.segments_dir, exist_ok=True)
         self.segment_max_records = segment_max_records
         self.faults = faults
@@ -835,5 +838,6 @@ __all__ = [
     "StoreError",
     "StoreReader",
     "StoreWriter",
+    "refuse_existing_store",
     "segment_name",
 ]

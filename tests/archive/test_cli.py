@@ -31,9 +31,13 @@ class TestReplayCli:
         replay_out = str(tmp_path / "replay_out")
         assert main(["replay", archive_dir, "--out", replay_out]) == 0
         assert "replayed" in capsys.readouterr().out
-        for name in sorted(os.listdir(run_out)):
-            if name == "scorecard.json":
-                continue  # replay adds one even when the run didn't
+        names = sorted(
+            os.path.relpath(os.path.join(root, name), run_out)
+            for root, _dirs, files in os.walk(run_out) for name in files
+        )
+        assert "store.json" in names
+        for name in names:
+            # replay adds a scorecard.json even when the run didn't
             assert filecmp.cmp(
                 os.path.join(run_out, name),
                 os.path.join(replay_out, name),
@@ -47,6 +51,24 @@ class TestReplayCli:
         capsys.readouterr()
         assert main(["report", replay_out]) == 0
         assert "Table 1" in capsys.readouterr().out
+
+    def test_tables_and_both_reports_agree(self, archived_cli_run, tmp_path,
+                                           capsys):
+        # Entry-point agreement: the one-shot ``tables``, ``report`` on
+        # the live run, and ``report`` on its replay print the same bytes.
+        run_out, archive_dir = archived_cli_run
+        replay_out = str(tmp_path / "replay_out")
+        assert main(["replay", archive_dir, "--out", replay_out]) == 0
+        capsys.readouterr()
+        assert main([
+            "tables", "--scale", "0.02", "--iterations", "2", "--seed", "123",
+            "--no-underground",
+        ]) == 0
+        tables = capsys.readouterr().out
+        assert "Table 3" in tables
+        for run_dir in (run_out, replay_out):
+            assert main(["report", run_dir]) == 0
+            assert capsys.readouterr().out == tables, run_dir
 
     def test_replay_missing_archive_exits_2(self, tmp_path, capsys):
         code = main([
@@ -118,3 +140,23 @@ class TestManifestSurface:
         names = {m["name"] for m in metrics["metrics"]}
         assert "archive_exchanges_total" in names
         assert "archive_dedup_ratio" in names
+
+    def test_twin_archived_runs_write_identical_events(self, tmp_path):
+        # No path-bearing field in any event: same-seed archived runs in
+        # differently named directories log byte-identical events.
+        events = []
+        for name in ("first", "second-location"):
+            base = tmp_path / name
+            telemetry_out = str(base / "telemetry")
+            assert main([
+                "run", "--scale", "0.01", "--iterations", "1", "--seed", "5",
+                "--no-underground", "--out", str(base / "out"),
+                "--archive-dir", str(base / "archive"),
+                "--telemetry-out", telemetry_out,
+            ]) == 0
+            with open(os.path.join(telemetry_out, "events.jsonl"), "rb") as f:
+                events.append(f.read())
+        assert events[0] == events[1]
+        sealed = [json.loads(line) for line in events[0].splitlines()
+                  if b'"archive.sealed"' in line]
+        assert [event["level"] for event in sealed] == ["info"]

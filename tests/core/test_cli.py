@@ -28,8 +28,10 @@ class TestRunAndReport:
         return str(path)
 
     def test_run_saves_dataset_and_meta(self, run_dir, capsys):
-        assert os.path.exists(os.path.join(run_dir, "listings.jsonl"))
-        assert os.path.exists(os.path.join(run_dir, "profiles.jsonl"))
+        assert os.path.exists(os.path.join(run_dir, "store.json"))
+        for record_type in ("listings", "profiles"):
+            assert os.path.exists(os.path.join(
+                run_dir, "segments", f"{record_type}-000000.seg"))
         with open(os.path.join(run_dir, "study_meta.json")) as handle:
             meta = json.load(handle)
         assert meta["scale"] == 0.02
@@ -63,13 +65,15 @@ class TestRunAndReport:
 
         corrupt = tmp_path / "corrupt-run"
         shutil.copytree(run_dir, corrupt)
-        listings = corrupt / "listings.jsonl"
-        text = listings.read_text()
-        listings.write_text(text + '{"offer_url": "http://x.exam\n')
+        # A torn append after a sealed segment's footer: the segment no
+        # longer matches its claim and is quarantined, the rest renders.
+        segment = sorted((corrupt / "segments").glob("listings-*.seg"))[-1]
+        text = segment.read_text()
+        segment.write_text(text + '{"offer_url": "http://x.exam\n')
         assert main(["report", str(corrupt)]) == 0
         captured = capsys.readouterr()
-        assert "skipped 1 corrupt dataset line" in captured.err
-        assert "listings/jsonl_decode_error=1" in captured.err
+        assert "skipped 1 corrupt store segment(s) or line(s)" in captured.err
+        assert "listings/store_segment_corrupt=1" in captured.err
         assert "Table 1" in captured.out
 
 
@@ -165,8 +169,8 @@ class TestRunInterrupted:
             meta = json.load(handle)
         assert meta["partial"] == "interrupted"
         assert meta["signal"] == signal.SIGINT
-        # No dataset files: the run dir is visibly incomplete.
-        assert not os.path.exists(os.path.join(out_dir, "listings.jsonl"))
+        # No store: the run dir is visibly incomplete.
+        assert sorted(os.listdir(out_dir)) == ["study_meta.json"]
 
     def test_previous_handler_restored(self, tmp_path, monkeypatch):
         import signal

@@ -1,8 +1,9 @@
-"""Tests for the measurement dataset records and persistence."""
+"""Tests for the measurement dataset records and their persistence
+through the segmented store."""
 
 import pytest
 
-from repro.contracts import SOURCE_JSONL_LOAD, QuarantineStore
+from repro.contracts import QuarantineStore
 from repro.core.dataset import (
     ListingRecord,
     MeasurementDataset,
@@ -13,6 +14,14 @@ from repro.core.dataset import (
     dedup_by,
     record_from_dict,
 )
+from repro.store import (
+    StoreError,
+    StoreReader,
+    StoreWriter,
+    load_dataset,
+    save_dataset,
+)
+from repro.store.dataset_store import RULE_RECORD_SHAPE
 
 
 def sample_dataset():
@@ -109,8 +118,8 @@ class TestViews:
 class TestPersistence:
     def test_save_load_roundtrip(self, tmp_path):
         ds = sample_dataset()
-        ds.save(str(tmp_path / "run1"))
-        loaded = MeasurementDataset.load(str(tmp_path / "run1"))
+        save_dataset(ds, str(tmp_path / "run1"))
+        loaded = load_dataset(str(tmp_path / "run1"))
         assert loaded.summary() == ds.summary()
         assert loaded.listings[0] == ds.listings[0]
         assert loaded.profiles[0] == ds.profiles[0]
@@ -118,34 +127,29 @@ class TestPersistence:
 
     def test_save_is_atomic_no_temp_leftovers(self, tmp_path):
         directory = tmp_path / "run_atomic"
-        sample_dataset().save(str(directory))
-        leftovers = [p.name for p in directory.iterdir() if ".tmp." in p.name]
+        save_dataset(sample_dataset(), str(directory))
+        leftovers = [p.name for p in directory.rglob("*") if ".tmp" in p.name]
         assert leftovers == []
 
     def test_save_overwrite_never_leaves_stale_mixture(self, tmp_path):
-        # Saving a smaller dataset over a larger one must fully replace
-        # each file (the old non-atomic writer could leave a torn state
-        # if killed mid-save; atomic replace makes overwrite total).
+        # A store is write-once: saving over one is refused outright,
+        # so two runs' records can never mix in one directory.
         directory = str(tmp_path / "run_over")
         big = sample_dataset()
-        big.save(directory)
-        small = MeasurementDataset()
-        small.save(directory)
-        loaded = MeasurementDataset.load(directory)
-        assert loaded.summary() == {
-            "sellers": 0, "listings": 0, "profiles": 0, "posts": 0,
-            "underground": 0,
-        }
+        save_dataset(big, directory)
+        with pytest.raises(StoreError, match="already holds a store"):
+            save_dataset(MeasurementDataset(), directory)
+        assert load_dataset(directory).summary() == big.summary()
 
-    def test_load_missing_directory_gives_empty(self, tmp_path):
-        loaded = MeasurementDataset.load(str(tmp_path / "nothing"))
-        assert loaded.summary() == {
-            "sellers": 0, "listings": 0, "profiles": 0, "posts": 0, "underground": 0,
-        }
+    def test_load_missing_directory_raises(self, tmp_path):
+        with pytest.raises(StoreError, match="does not exist"):
+            load_dataset(str(tmp_path / "nothing"))
+        with pytest.raises(StoreError, match="not a segmented store"):
+            load_dataset(str(tmp_path))
 
     def test_full_study_roundtrip(self, tmp_path, dataset):
-        dataset.save(str(tmp_path / "study"))
-        loaded = MeasurementDataset.load(str(tmp_path / "study"))
+        save_dataset(dataset, str(tmp_path / "study"))
+        loaded = load_dataset(str(tmp_path / "study"))
         assert loaded.summary() == dataset.summary()
         original_prices = sorted(
             l.price_usd for l in dataset.listings if l.price_usd is not None
@@ -156,73 +160,77 @@ class TestPersistence:
         assert original_prices == loaded_prices
 
 
+def _unsealed_store(directory, **records):
+    """A store as a SIGKILL before the seal leaves it: every record
+    flushed into unsealed tail segments, no footer, no manifest."""
+    writer = StoreWriter(str(directory))
+    for record_type, payloads in records.items():
+        for payload in payloads:
+            writer.append(record_type, payload)
+    writer.close()
+    return directory
+
+
 class TestCorruptLineLoading:
     def _truncate_last_line(self, path):
         text = path.read_text()
         path.write_text(text[: len(text) - len(text.splitlines()[-1]) // 2 - 1])
 
+    def _listings(self):
+        return [{"offer_url": f"http://m.example/offer/{i}",
+                 "marketplace": "M1"} for i in range(3)]
+
     def test_truncated_final_line_is_skipped_and_counted(self, tmp_path):
-        ds = sample_dataset()
-        run_dir = tmp_path / "run"
-        ds.save(str(run_dir))
+        run_dir = _unsealed_store(tmp_path / "run", listings=self._listings())
         # Simulate a SIGKILL mid-write: cut the final listings line.
-        self._truncate_last_line(run_dir / "listings.jsonl")
+        self._truncate_last_line(run_dir / "segments" / "listings-000000.seg")
         store = QuarantineStore()
-        loaded = MeasurementDataset.load(str(run_dir), quarantine=store)
-        assert len(loaded.listings) == len(ds.listings) - 1
-        assert store.total == 1
-        entry = store.entries[0]
-        assert entry.record_type == "listings"
-        assert entry.rule == "jsonl_decode_error"
-        assert entry.source == SOURCE_JSONL_LOAD
-        assert entry.raw  # the offending line is preserved for forensics
+        loaded = load_dataset(str(run_dir), quarantine=store)
+        assert len(loaded.listings) == 2
+        # A torn tail is recovered (counted), not dead-lettered.
+        assert store.total == 0
+        reader = StoreReader.open(str(run_dir))
+        assert len(list(reader.iter_records("listings"))) == 2
+        assert reader.recovered_tails == 1
 
     def test_corrupt_line_without_store_is_silently_skipped(self, tmp_path):
-        ds = sample_dataset()
-        run_dir = tmp_path / "run"
-        ds.save(str(run_dir))
-        self._truncate_last_line(run_dir / "listings.jsonl")
-        loaded = MeasurementDataset.load(str(run_dir))  # must not raise
-        assert len(loaded.listings) == len(ds.listings) - 1
+        run_dir = _unsealed_store(tmp_path / "run", listings=self._listings())
+        self._truncate_last_line(run_dir / "segments" / "listings-000000.seg")
+        loaded = load_dataset(str(run_dir))  # must not raise
+        assert len(loaded.listings) == 2
 
     def test_wrong_shape_line_is_quarantined(self, tmp_path):
-        ds = sample_dataset()
-        run_dir = tmp_path / "run"
-        ds.save(str(run_dir))
-        path = run_dir / "posts.jsonl"
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"no_such_field": 1}\n')  # missing required args
-            handle.write('[1, 2, 3]\n')  # not an object at all
+        run_dir = str(tmp_path / "run")
+        writer = StoreWriter(run_dir)
+        writer.append("posts", {"post_id": "p1", "platform": "X",
+                                "handle": "h", "text": "t"})
+        writer.append("posts", {"no_such_field": 1})  # missing required args
+        writer.append("posts", [1, 2, 3])  # not an object at all
+        writer.seal()
         store = QuarantineStore()
-        loaded = MeasurementDataset.load(str(run_dir), quarantine=store)
-        assert len(loaded.posts) == len(ds.posts)
-        assert [e.rule for e in store.entries] == [
-            "record_shape_error", "record_shape_error",
-        ]
+        loaded = load_dataset(run_dir, quarantine=store)
+        assert len(loaded.posts) == 1
+        assert [e.rule for e in store.entries] == [RULE_RECORD_SHAPE] * 2
 
     def test_unknown_fields_are_dropped_not_fatal(self, tmp_path):
-        ds = sample_dataset()
-        run_dir = tmp_path / "run"
-        ds.save(str(run_dir))
-        path = run_dir / "listings.jsonl"
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(
-                '{"offer_url": "http://m.example/offer/9", '
-                '"marketplace": "M1", "added_in_v99": true}\n'
-            )
+        run_dir = str(tmp_path / "run")
+        writer = StoreWriter(run_dir)
+        writer.append("listings", {"offer_url": "http://m.example/offer/9",
+                                   "marketplace": "M1", "added_in_v99": True})
+        writer.seal()
         store = QuarantineStore()
-        loaded = MeasurementDataset.load(str(run_dir), quarantine=store)
+        loaded = load_dataset(run_dir, quarantine=store)
         assert store.total == 0
         assert loaded.listings[-1].offer_url == "http://m.example/offer/9"
 
     def test_old_single_value_provenance_loads(self, tmp_path):
-        run_dir = tmp_path / "run"
-        run_dir.mkdir()
-        (run_dir / "listings.jsonl").write_text(
-            '{"offer_url": "http://m.example/offer/1", "marketplace": "M1", '
-            '"provenance": "partial:truncated_html"}\n'
-        )
-        loaded = MeasurementDataset.load(str(run_dir))
+        run_dir = str(tmp_path / "run")
+        writer = StoreWriter(run_dir)
+        writer.append("listings", {"offer_url": "http://m.example/offer/1",
+                                   "marketplace": "M1",
+                                   "provenance": "partial:truncated_html"})
+        writer.seal()
+        loaded = load_dataset(run_dir)
         assert loaded.listings[0].provenance == "partial:truncated_html"
 
 

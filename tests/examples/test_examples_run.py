@@ -4,11 +4,14 @@ Examples are the public face of the repository; these tests run each one
 in a subprocess (as a user would) and check for its signature output.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
 
 import pytest
+
+from repro.cli import main
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 EXAMPLES = os.path.join(REPO_ROOT, "examples")
@@ -21,6 +24,15 @@ def run_example(name, *args, timeout=300):
     )
     assert result.returncode == 0, result.stderr[-2000:]
     return result.stdout
+
+
+def load_example(name):
+    """Import an example script as a module, to call its ``main``."""
+    spec = importlib.util.spec_from_file_location(
+        name[:-len(".py")], os.path.join(EXAMPLES, name))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.mark.slow
@@ -55,3 +67,19 @@ class TestExamples:
         )
         assert "Reload check passed." in out
         assert "indicators flag" in out
+
+
+class TestLongitudinalStore:
+    def test_rerun_in_same_workdir_rewrites_the_store(self, tmp_path,
+                                                       capsys):
+        # The example owns <workdir>/dataset: a second run replaces the
+        # first run's write-once store instead of being refused by it.
+        example = load_example("longitudinal_operations.py")
+        argv = ["--scale", "0.01", "--iterations", "2",
+                "--workdir", str(tmp_path)]
+        example.main(argv)
+        first = capsys.readouterr().out
+        assert "Reload check passed." in first
+        example.main(argv)
+        assert capsys.readouterr().out == first
+        assert main(["data", "verify", str(tmp_path / "dataset")]) == 0

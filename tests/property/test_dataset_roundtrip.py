@@ -1,7 +1,6 @@
 """Property-based persistence roundtrips for the dataset layers.
 
-Both persistence paths — the flat per-type JSONL files and the
-segmented store — must return exactly what they were given, for
+The segmented store must return exactly what it was given, for
 *hostile* record contents: unicode well outside ASCII, control
 characters and newline-ish code points inside strings, NaN-adjacent
 float prices (inf, tiny subnormals, negative zero), and record types
@@ -151,25 +150,6 @@ def _datasets_equal(a: MeasurementDataset, b: MeasurementDataset) -> bool:
         if not all(_fields_equal(x, y) for x, y in zip(left, right)):
             return False
     return True
-
-
-class TestFlatRoundtrip:
-    @settings(max_examples=40, deadline=None)
-    @given(dataset=_dataset)
-    def test_save_load_field_identity(self, dataset, tmp_path_factory):
-        directory = str(tmp_path_factory.mktemp("flat"))
-        dataset.save(directory)
-        loaded = MeasurementDataset.load(directory)
-        assert _datasets_equal(dataset, loaded)
-
-    @settings(max_examples=25, deadline=None)
-    @given(dataset=_dataset)
-    def test_save_load_save_byte_identity(self, dataset, tmp_path_factory):
-        first = str(tmp_path_factory.mktemp("flat_a"))
-        second = str(tmp_path_factory.mktemp("flat_b"))
-        dataset.save(first)
-        MeasurementDataset.load(first).save(second)
-        assert _dir_bytes(first) == _dir_bytes(second)
 
 
 class TestStoreRoundtrip:

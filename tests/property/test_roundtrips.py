@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dataset import ListingRecord, MeasurementDataset, PostRecord
+from repro.store import load_dataset, save_dataset
 from repro.web.html import E, Element, document, render_document
 from repro.web.html_parser import parse_html
 
@@ -138,7 +139,7 @@ class TestDatasetRoundtrip:
         ds.listings = listings
         ds.posts = posts
         directory = str(tmp_path_factory.mktemp("roundtrip"))
-        ds.save(directory)
-        loaded = MeasurementDataset.load(directory)
+        save_dataset(ds, directory)
+        loaded = load_dataset(directory)
         assert loaded.listings == listings
         assert loaded.posts == posts

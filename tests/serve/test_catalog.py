@@ -1,10 +1,13 @@
 """Catalog builder: determinism, idempotency, layouts, corruption."""
 
+import dataclasses
 import json
 import os
+import shutil
 
 import pytest
 
+from repro.core.dataset import ListingRecord
 from repro.serve import (
     CATALOG_DB_FILENAME,
     CATALOG_FILENAME,
@@ -15,7 +18,7 @@ from repro.serve import (
     source_digest,
 )
 from repro.serve import catalog as catalog_module
-from repro.store import save_dataset
+from repro.store import StoreWriter, save_dataset
 
 from tests.serve.conftest import scorecard_doc, small_dataset, write_run
 
@@ -60,6 +63,11 @@ class TestBuild:
         empty.mkdir()
         with pytest.raises(CatalogError, match="no dataset artifacts"):
             build_catalog([str(empty)], str(tmp_path / "catalog"))
+        # Side artifacts alone (an interrupted run's meta) are no store.
+        (empty / "study_meta.json").write_text('{"partial": "interrupted"}')
+        with pytest.raises(CatalogError, match="no dataset artifacts"):
+            build_catalog([str(empty)], str(tmp_path / "catalog"))
+        assert not (tmp_path / "catalog").exists()
         with pytest.raises(CatalogError, match="does not exist"):
             build_catalog([str(tmp_path / "absent")],
                           str(tmp_path / "catalog"))
@@ -101,12 +109,14 @@ class TestDeterminism:
                                                       tmp_path):
         out = str(tmp_path / "catalog")
         first = build_catalog([run_dir], out)
-        with open(os.path.join(run_dir, "listings.jsonl"), "a",
-                  encoding="utf-8") as handle:
-            handle.write(json.dumps({
-                "offer_url": "http://alphabay/offer/99",
-                "marketplace": "alphabay", "price_usd": 123.0,
-            }) + "\n")
+        # A store is write-once: the changed run is a fresh save in place.
+        dataset = small_dataset()
+        dataset.listings.append(ListingRecord(
+            offer_url="http://alphabay/offer/99", marketplace="alphabay",
+            price_usd=123.0,
+        ))
+        shutil.rmtree(run_dir)
+        write_run(run_dir, dataset, scorecard=scorecard_doc())
         second = build_catalog([run_dir], out)
         assert second.rebuilt
         assert second.content_digest != first.content_digest
@@ -178,45 +188,54 @@ class TestBuildFiles:
             assert catalog.digest == catalog_digest(out)
 
 
+def _unsealed_run(path, dataset):
+    """A run dir whose store a crash left unsealed (no footers, no
+    manifest), so its segments are scanned line by line."""
+    writer = StoreWriter(path)
+    for record_type in ("listings", "sellers", "profiles"):
+        for record in getattr(dataset, record_type):
+            writer.append(record_type, dataclasses.asdict(record))
+    writer.close()
+    return path
+
+
 class TestLayouts:
-    def test_store_layout_rows_match_flat(self, tmp_path):
+    """Run dirs have one layout, the segmented store; its rows and its
+    crash-recovery reads reach the catalog."""
+
+    def test_store_rows_match_dataset(self, tmp_path):
         dataset = small_dataset()
-        flat = write_run(str(tmp_path / "flat"), dataset)
-        store = str(tmp_path / "store")
-        save_dataset(dataset, store)
-        out_flat = str(tmp_path / "cat_flat")
-        out_store = str(tmp_path / "cat_store")
-        build_catalog([flat], out_flat)
-        build_catalog([store], out_store)
-        with Catalog.open(out_flat) as a, Catalog.open(out_store) as b:
-            rows_a = a.conn.execute(
+        run = write_run(str(tmp_path / "run"), dataset)
+        out = str(tmp_path / "catalog")
+        build_catalog([run], out)
+        with Catalog.open(out) as catalog:
+            rows = catalog.conn.execute(
                 "SELECT offer_url, marketplace, price_usd FROM listings"
-                " ORDER BY id").fetchall()
-            rows_b = b.conn.execute(
-                "SELECT offer_url, marketplace, price_usd FROM listings"
-                " ORDER BY id").fetchall()
-            assert [tuple(row) for row in rows_a] \
-                == [tuple(row) for row in rows_b]
-            layout = b.conn.execute(
+                " ORDER BY offer_url").fetchall()
+            layout = catalog.conn.execute(
                 "SELECT layout FROM runs").fetchone()[0]
+        assert [tuple(row) for row in rows] == sorted(
+            (l.offer_url, l.marketplace, l.price_usd)
+            for l in dataset.listings)
         assert layout == "store"
+        manifest = json.load(open(os.path.join(out, CATALOG_FILENAME)))
+        assert [s["layout"] for s in manifest["sources"]] == ["store"]
 
     def test_corrupt_jsonl_lines_skipped(self, tmp_path):
-        run = write_run(str(tmp_path / "run"), small_dataset())
-        path = os.path.join(run, "listings.jsonl")
+        run = _unsealed_run(str(tmp_path / "run"), small_dataset())
+        path = os.path.join(run, "segments", "listings-000000.seg")
         with open(path, "a", encoding="utf-8") as handle:
             handle.write("{truncated\n")
         result = build_catalog([run], str(tmp_path / "catalog"))
         assert result.tables["listings"] == 12
 
     def test_invalid_prices_nulled(self, tmp_path):
-        run = write_run(str(tmp_path / "run"), small_dataset())
-        with open(os.path.join(run, "listings.jsonl"), "a",
-                  encoding="utf-8") as handle:
-            handle.write(json.dumps({
-                "offer_url": "http://alphabay/offer/bad",
-                "marketplace": "alphabay", "price_usd": -4.0,
-            }) + "\n")
+        dataset = small_dataset()
+        dataset.listings.append(ListingRecord(
+            offer_url="http://alphabay/offer/bad", marketplace="alphabay",
+            price_usd=-4.0,
+        ))
+        run = write_run(str(tmp_path / "run"), dataset)
         out = str(tmp_path / "catalog")
         build_catalog([run], out)
         with Catalog.open(out) as catalog:

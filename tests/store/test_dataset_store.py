@@ -19,7 +19,6 @@ from repro.faults.profiles import FaultProfile, FaultRates
 from repro.store import (
     StoreError,
     StoreWriter,
-    is_store_dir,
     load_dataset,
     save_dataset,
 )
@@ -55,12 +54,6 @@ class TestBridge:
         assert loaded.listings == dataset.listings
         assert loaded.sellers == dataset.sellers
         assert loaded.profiles == dataset.profiles
-
-    def test_is_store_dir(self, tmp_path):
-        directory = str(tmp_path / "store")
-        save_dataset(_dataset(), directory)
-        assert is_store_dir(directory)
-        assert not is_store_dir(str(tmp_path))
 
     def test_disk_full_flushes_prefix_and_marks_partial(self, tmp_path):
         directory = str(tmp_path / "store")
@@ -197,47 +190,68 @@ class TestDataCli:
         assert "sealed: True" in out
 
     def test_report_reads_store_layout(self, tmp_path, capsys):
-        # ``repro report`` on a store dir written by run --store-dir
-        # must render the same tables as on the flat run dir — the
-        # meta-derived sections (payment methods, listing dynamics)
-        # included, since the meta file is mirrored into the store.
+        # ``repro report`` on the store ``run --out`` wrote renders the
+        # meta-derived sections too (payment methods, listing dynamics):
+        # study_meta.json sits beside the store manifest.
         out_dir = str(tmp_path / "out")
-        store_dir = str(tmp_path / "store")
         assert main([
-            "run", "--out", out_dir, "--store-dir", store_dir,
-            "--scale", "0.02", "--iterations", "2",
+            "run", "--out", out_dir, "--scale", "0.02", "--iterations", "2",
         ]) == 0
         capsys.readouterr()
-        assert main(["report", store_dir, "--scale", "0.02"]) == 0
+        assert main(["data", "verify", out_dir]) == 0
+        capsys.readouterr()
+        assert main(["report", out_dir, "--scale", "0.02"]) == 0
         from_store = capsys.readouterr().out
         assert "Table 1" in from_store
         assert "Table 3" in from_store
         assert "Figure 2" in from_store
-        assert main(["report", out_dir, "--scale", "0.02"]) == 0
-        assert capsys.readouterr().out == from_store
+
+    def test_report_on_store_less_dir_exits_one(self, tmp_path, capsys):
+        assert main(["report", str(tmp_path)]) == 1
+        assert "not a segmented store" in capsys.readouterr().err
 
 
 class TestRunStoreDir:
+    """``run --out`` is the store directory, and it is write-once."""
+
     def test_second_run_into_same_store_dir_is_refused(
-            self, tmp_path, capsys):
-        out_dir = str(tmp_path / "out")
-        store_dir = str(tmp_path / "store")
-        args = ["--scale", "0.02", "--iterations", "1",
-                "--store-dir", store_dir]
-        assert main(["run", "--out", out_dir] + args) == 0
+            self, tmp_path, capsys, monkeypatch):
+        out_dir = tmp_path / "out"
+        args = ["run", "--out", str(out_dir),
+                "--scale", "0.02", "--iterations", "1"]
+        assert main(args) == 0
         capsys.readouterr()
-        rc = main(["run", "--out", str(tmp_path / "out2")] + args)
+        before = {path: path.read_bytes()
+                  for path in out_dir.rglob("*") if path.is_file()}
+
+        from repro.core import pipeline
+
+        def no_study(*_args, **_kwargs):
+            raise AssertionError("the refusal must precede the study")
+
+        monkeypatch.setattr(pipeline.Study, "run", no_study)
+        assert main(args[:3] + ["--seed", "5"] + args[3:]) == 1
+        assert "store save refused" in capsys.readouterr().err
+        # Every file of the first run, study_meta.json included, is
+        # untouched, and its store still verifies clean.
+        after = {path: path.read_bytes()
+                 for path in out_dir.rglob("*") if path.is_file()}
+        assert after == before
+        monkeypatch.undo()
+        assert main(["data", "verify", str(out_dir)]) == 0
+
+    def test_replay_into_used_out_dir_is_refused(self, tmp_path, capsys):
+        out_dir = str(tmp_path / "out")
+        save_dataset(_dataset(), out_dir)
+        rc = main(["replay", str(tmp_path / "no-archive"), "--out", out_dir])
         assert rc == 1
         assert "store save refused" in capsys.readouterr().err
-        # The first run's store is untouched and still verifies clean.
-        assert main(["data", "verify", store_dir]) == 0
 
     def test_run_chaos_disk_full_exits_zero_marked_partial(
             self, tmp_path, capsys):
         out_dir = str(tmp_path / "out")
-        store_dir = str(tmp_path / "store")
         rc = main([
-            "run", "--out", out_dir, "--store-dir", store_dir,
+            "run", "--out", out_dir,
             "--scale", "0.05", "--iterations", "2",
             "--chaos", "disk_full",
         ])
@@ -245,5 +259,5 @@ class TestRunStoreDir:
         with open(os.path.join(out_dir, "study_meta.json")) as handle:
             assert json.load(handle)["partial"] == "disk_full"
         # The flushed prefix is sealed and internally consistent.
-        assert main(["data", "verify", store_dir]) == 0
+        assert main(["data", "verify", out_dir]) == 0
         assert "partial:disk_full" in capsys.readouterr().out
